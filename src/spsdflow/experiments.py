@@ -1,9 +1,11 @@
 """Seeded, repeatable experiment scenarios with CSV/JSON outputs.
 
 A scenario maps a configuration plus a per-run seed to a trajectory log.
-Runs are repeated ``repeats`` times (run i uses seed master_seed + i),
-optionally across a process pool; aggregation is order-independent, so the
-emitted files are byte-identical regardless of the parallelism degree.
+Runs are repeated ``repeats`` times (run i uses seed master_seed + i).
+Descent runs share the target and step together as one batch (one chunk of
+seeds per worker of an optional process pool); a run's result does not
+depend on its batch, so the emitted files are byte-identical regardless of
+the parallelism degree or batching.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ import numpy as np
 from . import __version__
 from .flows import StepControls, integrate
 from .manifold import FactoredPoint, GroundTruth, frob
-from .rgd import GDConfig, run_rgd
+from .rgd import GDConfig, RgdRun, run_rgd_batch
+from .rgd import run_rgd  # noqa: F401 - kept importable from this module
 from .spurious import (
     haar_orthonormal,
     make_ground_truth,
@@ -138,8 +141,9 @@ def _shared_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
     return make_ground_truth(cfg.n, cfg.r, cfg.eigenvalues, seed=cfg.master_seed)
 
 
-def _gd_config(cfg: ExperimentConfig, mode: str, alpha: float) -> GDConfig:
-    return GDConfig(alpha=alpha, mode=mode, max_iters=cfg.max_iters, tol_dist=cfg.tol_dist)
+def _gd_config(cfg: ExperimentConfig) -> GDConfig:
+    mode = {"global_fixed": "fixed", "global_varying": "varying"}.get(cfg.scenario, cfg.mode)
+    return GDConfig(alpha=cfg.alpha, mode=mode, max_iters=cfg.max_iters, tol_dist=cfg.tol_dist)
 
 
 def _random_point(gt: GroundTruth, rng: np.random.Generator) -> FactoredPoint:
@@ -149,14 +153,32 @@ def _random_point(gt: GroundTruth, rng: np.random.Generator) -> FactoredPoint:
     return FactoredPoint(U, np.diag(lam))
 
 
-def _run_gd(init: FactoredPoint, gt: GroundTruth, gd: GDConfig, seed: int,
-            extra_ref: np.ndarray | None = None) -> RunResult:
-    run = run_rgd(init, gt, gd)
+def _descent_start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> FactoredPoint:
+    """The seeded start of a descent scenario (its factors only)."""
+    if cfg.scenario == "example_1_1":
+        # Exact two-eigenvalue setting: start on the invariant set that
+        # captures the top eigenpair but replaces the second one.
+        return FactoredPoint(np.eye(3)[:, [0, 2]], np.diag([2.0, 1.0]))
+    rng = np.random.default_rng(seed)
+    if cfg.scenario in ("escape_s_r1", "escape_s_r2"):
+        deficit = 1 if cfg.scenario == "escape_s_r1" else 2
+        mask = [True] * (cfg.r - deficit) + [False] * deficit
+        sp = spurious_point(gt, mask)
+        tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))
+        radius = cfg.epsilon * frob(sp.dense())
+        return perturb_near(tup, radius, seed=int(rng.integers(2**63)))
+    return _random_point(gt, rng)
+
+
+def _gd_result(cfg: ExperimentConfig, run: RgdRun, gt: GroundTruth, gd: GDConfig,
+               seed: int) -> RunResult:
     records, columns = run.records, _GD_SCENARIO_COLUMNS
-    if extra_ref is not None:
-        # Distance of each logged iterate to a reference matrix is not
+    if cfg.scenario == "example_1_1":
+        # Distance of each logged iterate to the rank-one limit is not
         # reconstructible from the standard series; recompute by replay.
-        dists = _replay_distances(init, gt, gd, len(run.records), extra_ref)
+        limit = np.diag([2.0, 0.0, 0.0])
+        init = _descent_start(cfg, gt, seed)
+        dists = _replay_distances(init, gt, gd, len(run.records), limit)
         records = np.column_stack([records, dists]) if len(records) else records.reshape(0, 5)
         columns = columns + ("dist_limit",)
     terminal = {
@@ -179,47 +201,54 @@ def _replay_distances(init, gt, gd, count, ref):
     return np.array(out)
 
 
+def _run_flow(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> RunResult:
+    system = "dlra" if cfg.scenario == "flow_dlra" else "rescaled"
+    init = _random_point(gt, np.random.default_rng(seed))
+    res = integrate(system, init, gt, cfg.t_end, StepControls(dt=cfg.dt))
+    last = res.records[-1]
+    terminal = {"status": res.status, "t": float(last[0]), "dist": float(last[1]),
+                "sigma_r": float(last[2]), "grad_norm": float(last[3])}
+    return RunResult(seed, res.status, res.records, _FLOW_SCENARIO_COLUMNS, terminal)
+
+
+def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list[RunResult]:
+    """Runs of the configured scenario for the given seeds, against the shared target.
+
+    Descent scenarios descend from all their starts as one batch, which
+    builds the starts one at a time as it takes them in; flow scenarios run
+    one by one.
+    """
+    if cfg.scenario in ("flow_dlra", "flow_rescaled"):
+        return [_run_flow(cfg, gt, seed) for seed in seeds]
+    gd = _gd_config(cfg)
+    starts = (_descent_start(cfg, gt, seed) for seed in seeds)
+    return [_gd_result(cfg, run, gt, gd, seed)
+            for run, seed in zip(run_rgd_batch(starts, gt, gd), seeds)]
+
+
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Execute one run of the configured scenario with the given seed."""
-    gt = _shared_ground_truth(cfg)
-    rng = np.random.default_rng(seed)
-
-    if cfg.scenario == "example_1_1":
-        # Exact two-eigenvalue setting: start on the invariant set that
-        # captures the top eigenpair but replaces the second one.
-        init = FactoredPoint(np.eye(3)[:, [0, 2]], np.diag([2.0, 1.0]))
-        limit = np.diag([2.0, 0.0, 0.0])
-        return _run_gd(init, gt, _gd_config(cfg, "fixed", cfg.alpha), seed, extra_ref=limit)
-
-    if cfg.scenario in ("escape_s_r1", "escape_s_r2"):
-        deficit = 1 if cfg.scenario == "escape_s_r1" else 2
-        mask = [True] * (cfg.r - deficit) + [False] * deficit
-        sp = spurious_point(gt, mask)
-        tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))
-        radius = cfg.epsilon * frob(sp.dense())
-        init = perturb_near(tup, radius, seed=int(rng.integers(2**63)))
-        return _run_gd(init, gt, _gd_config(cfg, cfg.mode, cfg.alpha), seed)
-
-    if cfg.scenario in ("global_fixed", "global_varying"):
-        mode = "fixed" if cfg.scenario == "global_fixed" else "varying"
-        init = _random_point(gt, rng)
-        return _run_gd(init, gt, _gd_config(cfg, mode, cfg.alpha), seed)
-
-    if cfg.scenario in ("flow_dlra", "flow_rescaled"):
-        system = "dlra" if cfg.scenario == "flow_dlra" else "rescaled"
-        init = _random_point(gt, rng)
-        res = integrate(system, init, gt, cfg.t_end, StepControls(dt=cfg.dt))
-        last = res.records[-1]
-        terminal = {"status": res.status, "t": float(last[0]), "dist": float(last[1]),
-                    "sigma_r": float(last[2]), "grad_norm": float(last[3])}
-        return RunResult(seed, res.status, res.records, _FLOW_SCENARIO_COLUMNS, terminal)
-
-    raise ValueError(f"unknown scenario {cfg.scenario!r}")
+    return _run_seeds(cfg, [seed], _shared_ground_truth(cfg))[0]
 
 
-def _run_single_packed(args) -> RunResult:
-    text, seed = args
-    return run_single(ExperimentConfig.from_json(text), seed)
+def _run_chunk(args) -> list[RunResult]:
+    text, seeds = args
+    cfg = ExperimentConfig.from_json(text)
+    return _run_seeds(cfg, seeds, _shared_ground_truth(cfg))
+
+
+def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[dict, int]:
+    """Per-step median/min/max of every series over the runs that reached the step."""
+    n_steps = max((len(r.records) for r in runs), default=0)
+    stats = {}
+    for j, name in enumerate(columns[1:], start=1):
+        vals = np.full((len(runs), n_steps), np.nan)
+        for i, run in enumerate(runs):
+            vals[i, :len(run.records)] = run.records[:, j]
+        stats[name] = {"median": np.nanmedian(vals, axis=0).tolist(),
+                       "min": np.nanmin(vals, axis=0).tolist(),
+                       "max": np.nanmax(vals, axis=0).tolist()}
+    return stats, n_steps
 
 
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
@@ -227,29 +256,19 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
 
     Per-run CSVs and the summary pair are written when ``out_dir`` is set.
     Results are deterministic in ``master_seed`` and independent of
-    ``workers``.
+    ``workers``: each pool worker runs a contiguous chunk of the seeds.
     """
     seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
     if cfg.workers > 1:
-        args = [(cfg.to_json(), s) for s in seeds]
+        size = -(-len(seeds) // cfg.workers)
+        args = [(cfg.to_json(), seeds[i:i + size]) for i in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            runs = list(pool.map(_run_single_packed, args))
+            runs = [run for chunk in pool.map(_run_chunk, args) for run in chunk]
     else:
-        runs = [run_single(cfg, s) for s in seeds]
-    runs.sort(key=lambda r: r.seed)
+        runs = _run_seeds(cfg, seeds, _shared_ground_truth(cfg))
 
     columns = runs[0].columns
-    n_steps = max((len(r.records) for r in runs), default=0)
-    stats = {}
-    for j, name in enumerate(columns[1:], start=1):
-        med, lo, hi = [], [], []
-        for k in range(n_steps):
-            vals = np.array([r.records[k, j] for r in runs if len(r.records) > k])
-            med.append(float(np.median(vals)))
-            lo.append(float(vals.min()))
-            hi.append(float(vals.max()))
-        stats[name] = {"median": med, "min": lo, "max": hi}
-
+    stats, n_steps = _pointwise_stats(runs, columns)
     statuses = [r.status for r in runs]
     counts: dict[str, int] = {}
     for s in statuses:

@@ -19,9 +19,25 @@ TAU_ORTH = 1e-10
 TAU_GRAD = 1e-8
 
 
+def mT(A: np.ndarray) -> np.ndarray:
+    """Matrix transpose over the last two axes (A^T for each matrix of a stack)."""
+    return A.swapaxes(-1, -2)
+
+
 def sym(A: np.ndarray) -> np.ndarray:
-    """Symmetric part (A + A^T) / 2."""
-    return 0.5 * (A + A.T)
+    """Symmetric part (A + A^T) / 2, per matrix of a stack."""
+    return 0.5 * (A + mT(A))
+
+
+def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Frobenius inner product <X, Y> per matrix of a stack.
+
+    One dot product of the flattened matrices, as ``np.vdot`` computes for a
+    single pair, so each matrix's value does not depend on the stack it sits
+    in.
+    """
+    k = X.shape[-2] * X.shape[-1]
+    return (X.reshape(X.shape[:-2] + (1, k)) @ Y.reshape(Y.shape[:-2] + (k, 1)))[..., 0, 0]
 
 
 def frob(A: np.ndarray) -> float:
@@ -142,18 +158,19 @@ def factored_blocks(U: np.ndarray, gt: GroundTruth
     Here X = V D V^T is the target.  These blocks drive every factored
     computation: gradient, descent step, flow right-hand sides, distance
     and gradient norms.  C is the r-by-r product that ``GroundTruth.apply``
-    forms on the way to X U.
+    forms on the way to X U.  A stack of factors (..., n, r) gives stacked
+    blocks.
     """
-    if U.shape[0] != gt.n:
+    if U.shape[-2] != gt.n:
         raise ValueError("dimension mismatch between point and target")
     C = gt.U.T @ U
     XU = gt.U @ (gt.d[:, None] * C)
-    A = sym(U.T @ XU)
+    A = sym(mT(U) @ XU)
     return A, XU - U @ A, C
 
 
 def residual_norms(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
-                   C: np.ndarray, d: np.ndarray) -> tuple[float, float]:
+                   C: np.ndarray, d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Distance ||Z - X||_F and projected gradient norm from the blocks.
 
     Splitting Z - X against col(U) gives the sum of squares
@@ -168,12 +185,13 @@ def residual_norms(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     ``TAU_ORTH``, which shifts S - A by about drift * ||S||, above the
     rounding floor near the target, so that block is corrected to first
     order in F = U^T U - I (the blocks of the orthonormal U (I + F)^-1/2).
+    Stacked inputs give one pair of norms per point.
     """
     r = d.shape[0]
-    T = S - A + sym((U.T @ U - np.eye(r)) @ (S + A))
-    grad2 = np.vdot(T, T) + 2.0 * np.vdot(B, B)
-    DE = d[:, None] * (np.eye(r) - C @ C.T)   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
-    return float(np.sqrt(grad2 + np.vdot(DE, DE.T))), float(np.sqrt(grad2))
+    T = S - A + sym((mT(U) @ U - np.eye(r)) @ (S + A))
+    grad2 = inner(T, T) + 2.0 * inner(B, B)
+    DE = d[:, None] * (np.eye(r) - C @ mT(C))   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
+    return np.sqrt(grad2 + inner(DE, mT(DE))), np.sqrt(grad2)
 
 
 def distance_to_target(point: FactoredPoint, gt: GroundTruth) -> float:
@@ -184,12 +202,12 @@ def distance_to_target(point: FactoredPoint, gt: GroundTruth) -> float:
     eps ||X||_F^2 / dist, swamps distances near 1e-6, while the sum of
     squares is off by a few eps ||X||_F, like the dense ||Z - X||_F.
     """
-    return residual_norms(point.U, point.S, *factored_blocks(point.U, gt), gt.d)[0]
+    return float(residual_norms(point.U, point.S, *factored_blocks(point.U, gt), gt.d)[0])
 
 
 def gradient_norm(point: FactoredPoint, gt: GroundTruth) -> float:
     """Frobenius norm of the projected gradient, from the factors."""
-    return residual_norms(point.U, point.S, *factored_blocks(point.U, gt), gt.d)[1]
+    return float(residual_norms(point.U, point.S, *factored_blocks(point.U, gt), gt.d)[1])
 
 
 def tangent_project(point: FactoredPoint, Y: np.ndarray) -> np.ndarray:

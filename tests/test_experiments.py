@@ -6,7 +6,8 @@ import pytest
 
 import spsdflow as sf
 from spsdflow.cli import main
-from spsdflow.experiments import ExperimentConfig, default_eigenvalues
+from spsdflow.experiments import (ExperimentConfig, RunResult, _pointwise_stats,
+                                  default_eigenvalues)
 
 
 def small_cfg(**kw):
@@ -116,6 +117,28 @@ def test_global_varying_scenario_converges_inside_stability_region():
                            repeats=3, max_iters=3000, master_seed=11)
     report = sf.run_experiment(cfg)
     assert report.status_counts == {"converged_to_X": 3}
+
+
+def test_pointwise_stats_over_ragged_runs():
+    # runs of different lengths, one of them empty: each step's statistics
+    # cover exactly the runs that reached it (even and odd counts)
+    rng = np.random.default_rng(0)
+    columns = ("step", "dist", "sigma_r", "grad_norm")
+    runs = []
+    for seed, length in enumerate((5, 0, 3, 8, 5)):
+        records = np.column_stack([np.arange(length), rng.standard_normal((length, 3))])
+        runs.append(RunResult(seed, "max_iters", records, columns, {}))
+    stats, n_steps = _pointwise_stats(runs, columns)
+    assert n_steps == 8
+    for j, name in enumerate(columns[1:], start=1):
+        for k in range(n_steps):
+            vals = np.array([r.records[k, j] for r in runs if len(r.records) > k])
+            assert stats[name]["median"][k] == float(np.median(vals))
+            assert stats[name]["min"][k] == float(vals.min())
+            assert stats[name]["max"][k] == float(vals.max())
+    empty, n_steps = _pointwise_stats(runs[1:2], columns)
+    assert n_steps == 0
+    assert empty["dist"] == {"median": [], "min": [], "max": []}
 
 
 # ------------------------------------------------------------ reproducibility

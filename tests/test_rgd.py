@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 import spsdflow as sf
+from spsdflow import rgd
 from spsdflow.manifold import frob
+from spsdflow.rgd import RankDropError, run_rgd_batch
 
 
 def small_example():
@@ -156,6 +158,71 @@ def test_gdconfig_validation():
         sf.GDConfig(alpha=0.1, mode="adaptive")
     with pytest.raises(ValueError):
         sf.GDConfig(alpha=0.1, tol_dist=0.0)
+
+
+# ------------------------------------------------------------ batched runs
+
+def _escape_starts(gt, count):
+    # closer starts take longer to escape
+    sp = sf.spurious_point(gt, [True] * (gt.r - 1) + [False])
+    starts = []
+    for seed in range(count):
+        tup = sf.sample_spurious_tuple(sp, gt, seed=seed)
+        starts.append(sf.perturb_near(tup, 10.0 ** -(seed + 1) * frob(sp.dense()), seed=seed))
+    return starts
+
+
+@pytest.mark.parametrize("mode, alpha", [("fixed", 0.2), ("varying", 1.8)])
+def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=13)
+    starts = _escape_starts(gt, 5)
+    cfg = sf.GDConfig(alpha=alpha, mode=mode, max_iters=5000)
+    alone = [sf.run_rgd(init, gt, cfg) for init in starts]
+    assert len({run.iters for run in alone}) > 1   # runs leave the stack at different steps
+    # one block of five runs, then blocks of two (the last one of one run)
+    for entries in (rgd.BLOCK_ENTRIES, 2 * gt.n * gt.r):
+        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+        for run, ref in zip(run_rgd_batch(starts, gt, cfg), alone, strict=True):
+            assert (run.status, run.iters) == (ref.status, ref.iters)
+            assert np.array_equal(run.records, ref.records)
+            assert ((run.terminal_dist, run.terminal_sigma_r, run.terminal_grad_norm)
+                    == (ref.terminal_dist, ref.terminal_sigma_r, ref.terminal_grad_norm))
+            assert np.array_equal(run.point.U, ref.point.U)
+            assert np.array_equal(run.point.S, ref.point.S)
+
+
+def test_batch_mixes_terminal_statuses():
+    gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
+    rng = np.random.default_rng(5)
+    starts = [
+        sf.FactoredPoint(gt.U, np.diag(gt.d)),                        # at the target
+        sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), np.diag([2.5, 1.5, 0.6])),
+        sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt,
+                                 seed=0).factored(),                  # unperturbed spurious
+    ]
+    cfg = sf.GDConfig(alpha=0.01, max_iters=4)
+    runs = list(run_rgd_batch(starts, gt, cfg))
+    assert [r.status for r in runs] == ["converged_to_X", "max_iters", "near_spurious"]
+    assert [r.iters for r in runs] == [0, 4, 0]
+    assert [r.records.shape for r in runs] == [(0, 4), (4, 4), (0, 4)]
+    assert np.array_equal(runs[1].records[:, 0], np.arange(4.0))
+    for init, run in zip(starts, runs):
+        ref = sf.run_rgd(init, gt, cfg)
+        assert np.array_equal(run.records, ref.records)
+        assert run.terminal_dist == ref.terminal_dist
+
+
+def test_batch_rank_drop_names_the_step():
+    # The varying step alpha * sigma_r(Z_k) grows as the small core entry
+    # approaches 2, until it pushes the large entry below zero at step 3.
+    gt, _ = small_example()
+    starts = [sf.FactoredPoint(np.eye(3)[:, :2], np.diag([0.1, b])) for b in (10.0, 12.0)]
+    cfg = sf.GDConfig(alpha=1.0, mode="varying", max_iters=500)
+    assert sf.run_rgd(starts[0], gt, cfg).status == "converged_to_X"
+    with pytest.raises(RankDropError, match="at step 3$"):
+        sf.run_rgd(starts[1], gt, cfg)
+    with pytest.raises(RankDropError, match="at step 3$"):
+        list(run_rgd_batch(starts, gt, cfg))
 
 
 # --------------------------------------------------------- iteration Jacobian
