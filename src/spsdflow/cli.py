@@ -20,24 +20,26 @@ EXIT_RUNTIME = 3
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=100, help="ambient dimension")
-    p.add_argument("--r", type=int, default=5, help="rank")
-    p.add_argument("--eigenvalues", type=str, default=None,
+    # Defaults live in ExperimentConfig: an absent flag leaves its field unset.
+    p.add_argument("--n", type=int, help="ambient dimension")
+    p.add_argument("--r", type=int, help="rank")
+    p.add_argument("--eigenvalues", type=str,
                    help="comma-separated target spectrum (default: r,r-1,...,1)")
-    p.add_argument("--alpha", type=float, default=0.2, help="stepsize coefficient")
-    p.add_argument("--mode", choices=("fixed", "varying"), default="fixed",
+    p.add_argument("--alpha", type=float, help="stepsize coefficient")
+    p.add_argument("--mode", choices=("fixed", "varying"),
                    help="stepsize rule for the escape scenarios")
-    p.add_argument("--epsilon", type=float, default=1e-2,
+    p.add_argument("--epsilon", type=float,
                    help="perturbation radius relative to the spurious point norm")
-    p.add_argument("--repeats", type=int, default=1, help="number of seeded runs")
-    p.add_argument("--max-iters", type=int, default=5000, help="iteration cap per run")
-    p.add_argument("--seed", type=int, default=0, help="master seed; run i uses seed+i")
-    p.add_argument("--tol-dist", type=float, default=1e-6,
+    p.add_argument("--repeats", type=int, help="number of seeded runs")
+    p.add_argument("--max-iters", type=int, help="iteration cap per run")
+    p.add_argument("--seed", type=int, dest="master_seed", metavar="SEED",
+                   help="master seed; run i uses seed+i")
+    p.add_argument("--tol-dist", type=float,
                    help="distance threshold declaring convergence to the target")
-    p.add_argument("--dt", type=float, default=1e-2, help="flow time step")
-    p.add_argument("--t-end", type=float, default=5.0, help="flow horizon")
-    p.add_argument("--out-dir", type=str, default=None, help="directory for CSV/JSON output")
-    p.add_argument("--workers", type=int, default=1, help="process-pool size for repeats")
+    p.add_argument("--dt", type=float, help="flow time step")
+    p.add_argument("--t-end", type=float, help="flow horizon")
+    p.add_argument("--out-dir", type=str, help="directory for CSV/JSON output")
+    p.add_argument("--workers", type=int, help="process-pool size for repeats")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,7 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name in SCENARIOS:
-        p = sub.add_parser(name.replace("_", "-"), help=f"run the {name} scenario")
+        p = sub.add_parser(name.replace("_", "-"), help=f"run the {name} scenario",
+                           argument_default=argparse.SUPPRESS)
         _add_common(p)
         p.set_defaults(scenario=name)
     p = sub.add_parser("run", help="run a scenario described by a JSON config file")
@@ -64,26 +67,11 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         if args.out_dir is not None:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
         return cfg
-    eig = None
-    if args.eigenvalues:
-        eig = tuple(float(v) for v in args.eigenvalues.split(","))
-    return ExperimentConfig(
-        scenario=args.scenario,
-        n=args.n,
-        r=args.r,
-        eigenvalues=eig,
-        alpha=args.alpha,
-        mode=args.mode,
-        epsilon=args.epsilon,
-        repeats=args.repeats,
-        max_iters=args.max_iters,
-        master_seed=args.seed,
-        tol_dist=args.tol_dist,
-        dt=args.dt,
-        t_end=args.t_end,
-        out_dir=args.out_dir,
-        workers=args.workers,
-    )
+    fields = {k: v for k, v in vars(args).items() if k != "command"}
+    eig = fields.pop("eigenvalues", None)
+    if eig:
+        fields["eigenvalues"] = tuple(float(v) for v in eig.split(","))
+    return ExperimentConfig(**fields)
 
 
 def main(argv=None) -> int:

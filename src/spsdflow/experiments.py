@@ -28,6 +28,7 @@ from .spurious import (
     perturb_near,
     sample_spurious_tuple,
     spurious_point,
+    target_spectrum,
 )
 
 SCENARIOS = (
@@ -40,6 +41,7 @@ SCENARIOS = (
     "flow_rescaled",
 )
 
+_ESCAPE_DEFICIT = {"escape_s_r1": 1, "escape_s_r2": 2}   # rank deficit of the start
 _GD_SCENARIO_COLUMNS = ("step", "dist", "sigma_r", "grad_norm")
 _FLOW_SCENARIO_COLUMNS = ("t", "dist", "sigma_r", "grad_norm")
 
@@ -86,14 +88,22 @@ class ExperimentConfig:
             object.__setattr__(self, "mode", "fixed")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
-        if self.scenario.startswith("escape") and self.epsilon <= 0:
+        if not 1 <= self.r <= self.n:
+            raise ValueError("need 1 <= r <= n")
+        if self.scenario.startswith("escape") and not self.epsilon > 0:
             raise ValueError("escape scenarios require a positive epsilon")
-        if self.scenario == "escape_s_r2" and self.r < 2:
-            raise ValueError("rank-deficit-two escape requires r >= 2")
+        deficit = _ESCAPE_DEFICIT.get(self.scenario, 0)
+        if self.r < deficit or self.n - self.r < deficit:
+            raise ValueError(f"escape from rank deficit {deficit} needs r, n - r >= {deficit}")
+        if not self.t_end >= 0:
+            raise ValueError("t_end must be nonnegative")
         eig = self.eigenvalues
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
+        target_spectrum(eig, self.r)
         object.__setattr__(self, "eigenvalues", eig)
         object.__setattr__(self, "mode", str(self.mode))
+        _gd_config(self)                  # stepsize and iteration controls
+        StepControls(dt=self.dt)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -160,8 +170,7 @@ def _descent_start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> Factore
         # captures the top eigenpair but replaces the second one.
         return FactoredPoint(np.eye(3)[:, [0, 2]], np.diag([2.0, 1.0]))
     rng = np.random.default_rng(seed)
-    if cfg.scenario in ("escape_s_r1", "escape_s_r2"):
-        deficit = 1 if cfg.scenario == "escape_s_r1" else 2
+    if deficit := _ESCAPE_DEFICIT.get(cfg.scenario):
         mask = [True] * (cfg.r - deficit) + [False] * deficit
         sp = spurious_point(gt, mask)
         tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))

@@ -82,6 +82,10 @@ class StepControls:
     sigma_floor: float = 1e-12
     max_drift: float = 1e-6
 
+    def __post_init__(self):
+        if not self.dt > 0:
+            raise ValueError("dt must be positive")
+
 
 @dataclass
 class FlowResult:
@@ -306,17 +310,19 @@ class RescaledFlowJacobian:
         return np.outer(u_miss, self.tup.null_vec), np.zeros((self.r, self.r))
 
     def matrix(self) -> np.ndarray:
-        """Matrixization over the n*r U-block plus the symmetric S-block."""
+        """Matrixization over the n*r U-block plus the (zero) symmetric S-block.
+
+        With W = X U p p^T and PX = (I - U U^T) X, the U-block on row-major
+        vec(xi_U) is kron(PX, p p^T) - kron(I_n, (U^T W)^T) - T, where the
+        xi_U^T term gives T[(i, j), (l, k)] = U[i, k] W[l, j].
+        """
         n, r = self.n, self.r
-        sym_pairs = [(i, j) for i in range(r) for j in range(i, r)]
-        dim = n * r + len(sym_pairs)
-        out = np.zeros((dim, dim))
-        for col in range(n * r):
-            xi_U = np.zeros((n, r))
-            xi_U[col // r, col % r] = 1.0
-            dF, _ = self.apply(xi_U, np.zeros((r, r)))
-            out[:n * r, col] = dF.ravel()
-        # dF ignores xi_S and dH vanishes identically: remaining columns are zero.
+        U, X = self.tup.U, self.gt.dense()
+        W = self._XU @ self._pp
+        T = np.einsum("ik,lj->ijlk", U, W).reshape(n * r, n * r)
+        out = np.zeros((n * r + r * (r + 1) // 2,) * 2)
+        out[:n * r, :n * r] = (np.kron(X - U @ (U.T @ X), self._pp)
+                               - np.kron(np.eye(n), (U.T @ W).T) - T)
         return out
 
     def spectrum(self, positive_tol: float = 1e-8) -> SpectrumReport:

@@ -62,11 +62,11 @@ class GDConfig:
     grad_tol: float = TAU_GRAD
 
     def __post_init__(self):
-        if self.alpha <= 0:
+        if not self.alpha > 0:
             raise ValueError("alpha must be positive")
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        if self.max_iters < 0 or self.tol_dist <= 0:
+        if self.max_iters < 0 or not self.tol_dist > 0:
             raise ValueError("invalid iteration controls")
 
 
@@ -239,23 +239,8 @@ def tangent_coordinate_basis(frame: EigenFrame) -> list[TangentParam]:
     triangle as E_ij + E_ji) followed by the N-block entries in row-major
     order; :func:`tangent_coordinates` inverts the enumeration.
     """
-    r, n = frame.r, frame.n
-    basis = []
-    for i in range(r):
-        M = np.zeros((r, r))
-        M[i, i] = 1.0
-        basis.append(TangentParam(M, np.zeros((r, n - r)), frame))
-    for i in range(r):
-        for j in range(i + 1, r):
-            M = np.zeros((r, r))
-            M[i, j] = M[j, i] = 1.0
-            basis.append(TangentParam(M, np.zeros((r, n - r)), frame))
-    for a in range(r):
-        for b in range(n - r):
-            N = np.zeros((r, n - r))
-            N[a, b] = 1.0
-            basis.append(TangentParam(np.zeros((r, r)), N, frame))
-    return basis
+    dim = frame.r * (frame.r + 1) // 2 + frame.r * (frame.n - frame.r)
+    return [_from_coordinates(frame, e) for e in np.eye(dim)]
 
 
 def tangent_coordinates(xi: TangentParam) -> np.ndarray:
@@ -264,6 +249,14 @@ def tangent_coordinates(xi: TangentParam) -> np.ndarray:
     diag = np.diag(xi.M)
     upper = xi.M[np.triu_indices(r, k=1)]
     return np.concatenate([diag, upper, xi.N.ravel()])
+
+
+def _from_coordinates(frame: EigenFrame, c: np.ndarray) -> TangentParam:
+    """The tangent vector with coordinates ``c`` (inverse of :func:`tangent_coordinates`)."""
+    r, m = frame.r, frame.r * (frame.r + 1) // 2
+    M = np.diag(c[:r])
+    M[np.triu_indices(r, k=1)] = c[r:m]
+    return TangentParam(M + np.triu(M, 1).T, c[m:].reshape(r, frame.n - r), frame)
 
 
 def boundary_frame(tup: SpuriousTuple) -> EigenFrame:
@@ -287,9 +280,9 @@ class IterationJacobianReport:
 
     The limit of the map's differential is the identity plus a rank-one
     update supported on one N-coordinate: row = the core's null slot (last),
-    column = the missing eigenvector (first complement column).  Its
-    spectrum is a single escape eigenvalue 1 + alpha * d_miss with every
-    other eigenvalue equal to one.
+    column = the missing eigenvector (first complement column), so ``matrix``
+    is I + alpha * kron(e e^T, K^T) on the N-block.  Its spectrum is a single
+    escape eigenvalue 1 + alpha * d_miss, every other eigenvalue one.
     """
 
     eigenvalues: np.ndarray
@@ -316,28 +309,25 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     identity-times-sigma and gradient terms, and the curvature term of the
     Hessian survives as
 
-        xi -> xi + alpha * (U_m d_m U_m^T Up N^T e e^T U^T + transpose),
+        xi -> xi + alpha * (X_m Up N^T e e^T U^T + transpose),
 
-    with e the core null slot and U_m the missing eigenvector block.  The
-    operator is matrixized on the tangent coordinates of
-    :func:`boundary_frame` and its spectrum returned.
+    with e the core null slot and X_m = U_m d_m U_m^T the missing spectral
+    block.  As U^T X_m = 0, M stays fixed and N -> N + alpha e e^T N K with
+    K = Up^T X_m Up: on the coordinates of :func:`boundary_frame` (N row-major)
+    the matrix is I plus alpha * kron(e e^T, K^T) on the N-block.
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
     frame = boundary_frame(tup)
     r, n = frame.r, frame.n
-    u_miss = tup.point.U_miss
     d_miss = float(tup.point.d_miss[0])
-    Xm = (u_miss * d_miss) @ u_miss.T          # missing spectral block of the target
-    e = np.zeros((r, 1))
-    e[-1, 0] = 1.0                             # null slot of the core
-
-    basis = tangent_coordinate_basis(frame)
-    mat = np.zeros((len(basis), len(basis)))
-    for col, xi in enumerate(basis):
-        low = Xm @ frame.U_perp @ xi.N.T @ (e @ e.T) @ frame.U.T
-        out_ambient = xi.to_ambient() + alpha * (low + low.T)
-        mat[:, col] = tangent_coordinates(TangentParam.from_ambient(frame, out_ambient))
+    w = frame.U_perp.T @ tup.point.U_miss      # missing eigenvector in the complement
+    K = (w * d_miss) @ w.T                     # Up^T X_m Up
+    E = np.zeros((r, r))
+    E[-1, -1] = 1.0                            # e e^T, e the null slot of the core
+    m = r * (r + 1) // 2
+    mat = np.eye(m + r * (n - r))
+    mat[m:, m:] += alpha * np.kron(E, K.T)
 
     eig = np.sort(np.linalg.eigvals(mat).real)[::-1]
     return IterationJacobianReport(

@@ -29,8 +29,12 @@ from .manifold import (
 
 def haar_orthonormal(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     """Haar-distributed n-by-m orthonormal columns via sign-fixed QR."""
-    m = n if m is None else m
-    Q, R = np.linalg.qr(rng.standard_normal((n, m)))
+    return _sign_fixed_qr(rng.standard_normal((n, n if m is None else m)))
+
+
+def _sign_fixed_qr(G: np.ndarray) -> np.ndarray:
+    """Orthonormal factor of G's QR with the signs that make diag(R) nonnegative."""
+    Q, R = np.linalg.qr(G)
     s = np.sign(np.diag(R))
     s[s == 0] = 1.0
     return Q * s
@@ -49,13 +53,18 @@ def make_ground_truth(n: int, r: int, eigenvalues, seed: int) -> GroundTruth:
     The eigenvalues must be positive and pairwise distinct; they are sorted
     in decreasing order.  The eigenvector block is Haar-distributed.
     """
+    d = target_spectrum(eigenvalues, r)
+    return GroundTruth(haar_orthonormal(np.random.default_rng(seed), n, r), d)
+
+
+def target_spectrum(eigenvalues, r: int) -> np.ndarray:
+    """The eigenvalues sorted in decreasing order; raises unless r, positive, distinct."""
     d = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
     if d.shape != (r,):
         raise ValueError("need exactly r eigenvalues")
-    if np.any(d <= 0) or np.any(np.diff(d) >= 0):
-        raise ValueError("eigenvalues must be positive and pairwise distinct")
-    U = haar_orthonormal(np.random.default_rng(seed), n, r)
-    return GroundTruth(U, d)
+    if not (np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.diff(d) < 0)):
+        raise ValueError("eigenvalues must be finite, positive and pairwise distinct")
+    return d
 
 
 @dataclass(frozen=True)
@@ -191,10 +200,7 @@ def sample_spurious_tuple(sp: SpuriousPoint, gt: GroundTruth, seed: int,
     if haar:
         G = rng.standard_normal((n, k))
         G -= gt.U @ (gt.U.T @ G)
-        Q, R = np.linalg.qr(G)
-        sgn = np.sign(np.diag(R))
-        sgn[sgn == 0] = 1.0
-        U_fill = Q * sgn
+        U_fill = _sign_fixed_qr(G)
         P = haar_orthonormal(rng, r)
     else:
         U_fill = complement_basis(gt.U)[:, :k]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import spsdflow as sf
-from spsdflow.cli import main
+from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (ExperimentConfig, RunResult, _pointwise_stats,
                                   default_eigenvalues)
 
@@ -206,11 +206,80 @@ def test_cli_exit_codes(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"scenario": "escape_s_r1", "repeats": 0}))
     assert main(["run", "--config", str(bad)]) == 2
-    # no room for the fill-in directions: fails while sampling, at runtime
-    assert main(["escape-s-r1", "--n", "3", "--r", "3", "--repeats", "1"]) == 3
+    # no room for the fill-in directions: rejected with the configuration
+    assert main(["escape-s-r1", "--n", "3", "--r", "3", "--repeats", "1"]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["global-fixed", "--n", "3", "--r", "5"],
+    ["global-fixed", "--alpha", "-1"],
+    ["global-fixed", "--alpha", "nan"],
+    ["escape-s-r1", "--epsilon", "nan"],
+    ["global-fixed", "--eigenvalues", "1,1,2,3,4"],
+    ["global-fixed", "--eigenvalues", "3,2"],
+    ["global-fixed", "--max-iters", "-1"],
+    ["global-fixed", "--tol-dist", "0"],
+    ["escape-s-r1", "--n", "5", "--r", "5"],
+    ["escape-s-r2", "--n", "6", "--r", "5"],
+    ["flow-rescaled", "--dt", "-0.1"],
+    ["flow-rescaled", "--t-end", "-1"],
+    ["flow-dlra", "--dt", "0"],
+])
+def test_cli_configuration_errors_exit_2(argv, capsys):
+    assert main(argv + ["--repeats", "1"]) == 2
+    assert "configuration error" in capsys.readouterr().err
+
+
+def _parsed(argv):
+    return _config_from_args(build_parser().parse_args(argv))
+
+
+def test_cli_flags_fill_config_fields():
+    # an absent flag leaves the ExperimentConfig default in place
+    for name in ("escape_s_r1", "global_varying", "flow_dlra"):
+        assert _parsed([name.replace("_", "-")]) == ExperimentConfig(scenario=name)
+    flags = {
+        "--n": ("30", "n", 30), "--r": ("4", "r", 4),
+        "--eigenvalues": ("4,3,2,1", "eigenvalues", (4.0, 3.0, 2.0, 1.0)),
+        "--alpha": ("0.3", "alpha", 0.3), "--mode": ("varying", "mode", "varying"),
+        "--epsilon": ("0.001", "epsilon", 1e-3), "--repeats": ("3", "repeats", 3),
+        "--max-iters": ("77", "max_iters", 77), "--seed": ("9", "master_seed", 9),
+        "--tol-dist": ("1e-7", "tol_dist", 1e-7), "--dt": ("0.02", "dt", 0.02),
+        "--t-end": ("2.5", "t_end", 2.5), "--out-dir": ("x/y", "out_dir", "x/y"),
+        "--workers": ("2", "workers", 2),
+    }
+    base = ["escape-s-r1", "--n", "30", "--r", "4"]
+    for flag, (text, field, value) in flags.items():
+        cfg = _parsed(base + [flag, text])
+        assert getattr(cfg, field) == value
+        expected = ExperimentConfig(**{"scenario": "escape_s_r1", "n": 30, "r": 4, field: value})
+        assert cfg == expected
 
 
 def test_cli_eigenvalue_flag():
     code = main(["global-fixed", "--n", "12", "--r", "2", "--eigenvalues", "4,1",
                  "--repeats", "1", "--max-iters", "500", "--alpha", "0.4"])
     assert code == 0
+
+
+# ---------------------------------------------------------------- public API
+
+def test_public_names_are_pinned():
+    assert sorted(sf.__all__) == [
+        "EigenFrame", "ExperimentConfig", "FactoredPoint", "FlowDerivative",
+        "FlowResult", "FlowState", "GDConfig", "GroundTruth", "RgdRun",
+        "SpuriousPoint", "SpuriousTuple", "StepControls", "SummaryReport",
+        "TAU_GRAD", "TAU_ORTH", "TangentParam", "boundary_frame",
+        "complement_basis", "distance_to_target", "dlra_rhs",
+        "eig_min_derivative", "eigen_frame", "emit_summary",
+        "enumerate_spurious", "experiments", "fd_directional",
+        "fd_iteration_matrix", "fd_report", "flows", "gradient_norm",
+        "haar_orthonormal", "integrate", "iteration_jacobian",
+        "make_ground_truth", "manifold", "manifold_dim", "oracles",
+        "perturb_near", "rescaled_jacobian", "rescaled_rhs", "retract", "rgd",
+        "rgd_step", "riem_gradient", "riem_hessian_apply", "run_experiment",
+        "run_rgd", "run_single", "sample_spurious_tuple", "scaled_inverse",
+        "scaled_inverse_gradient", "sin_theta_check", "spurious",
+        "spurious_point", "stiefel_chart", "tangent_coordinate_basis",
+        "tangent_coordinates", "tangent_project",
+    ]

@@ -244,6 +244,13 @@ def test_integrate_unknown_system():
         sf.integrate("euler", init, gt, 1.0)
 
 
+@pytest.mark.parametrize("dt", [0.0, -1e-2])
+def test_step_controls_reject_nonpositive_dt(dt):
+    # a step of zero length (or a negative one) would never reach t_end
+    with pytest.raises(ValueError):
+        sf.StepControls(dt=dt)
+
+
 # ---------------------------------------------------------- boundary Jacobian
 
 def test_rescaled_jacobian_escape_pair():
@@ -268,6 +275,22 @@ def test_rescaled_jacobian_core_block_vanishes():
     xiS = sym(rng.standard_normal((3, 3)))
     dF, dH = J.apply(np.zeros((8, 3)), xiS)
     assert frob(dF) == 0.0 and frob(dH) == 0.0
+
+
+@pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])
+def test_rescaled_jacobian_matrix_is_the_operator(n, r, mask):
+    # the closed-form matrix acts on vec(xi_U) as apply does; xi_S is ignored
+    gt = sf.make_ground_truth(n, r, list(range(r, 0, -1)), seed=17)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, mask), gt, 2)
+    J = sf.rescaled_jacobian(tup, gt)
+    mat = J.matrix()
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        xiU = rng.standard_normal((n, r))
+        dF, _ = J.apply(xiU, np.zeros((r, r)))
+        assert np.max(np.abs(mat[:n * r, :n * r] @ xiU.ravel() - dF.ravel())) <= 1e-12
+    assert mat.shape == (n * r + r * (r + 1) // 2,) * 2
+    assert not mat[n * r:].any() and not mat[:, n * r:].any()
 
 
 def test_rescaled_jacobian_matches_fd():

@@ -267,6 +267,38 @@ def test_iteration_jacobian_matches_fd_and_resolves_constant():
     assert err_single < 1e-4 and err_single < err_double / 1000
 
 
+@pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])
+def test_iteration_jacobian_matrix_is_the_operator(n, r, mask):
+    # the closed-form matrix maps coordinates as the ambient operator
+    # xi -> xi + alpha (low + low^T), low = X_m Up N^T e e^T U^T, maps tangents
+    gt = sf.make_ground_truth(n, r, list(range(r, 0, -1)), seed=18)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, mask), gt, 1)
+    alpha = 0.7
+    rep = sf.iteration_jacobian(tup, gt, alpha)
+    frame = rep.frame
+    u = tup.point.U_miss
+    Xm = (u * tup.point.d_miss) @ u.T
+    ee = np.zeros((r, r))
+    ee[-1, -1] = 1.0
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        xi = sf.TangentParam(rng.standard_normal((r, r)), rng.standard_normal((r, n - r)), frame)
+        low = Xm @ frame.U_perp @ xi.N.T @ ee @ frame.U.T
+        out = sf.TangentParam.from_ambient(frame, xi.to_ambient() + alpha * (low + low.T))
+        expected = sf.tangent_coordinates(out)
+        assert np.max(np.abs(rep.matrix @ sf.tangent_coordinates(xi) - expected)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (12, 1)])
+def test_tangent_coordinates_invert_the_basis(n, r):
+    gt = sf.make_ground_truth(n, r, list(range(r, 0, -1)), seed=19)
+    frame = sf.eigen_frame(sf.FactoredPoint(gt.U, np.diag(gt.d)))
+    basis = sf.tangent_coordinate_basis(frame)
+    assert len(basis) == sf.manifold_dim(n, n, r, "real", hermitian=True)
+    for i, b in enumerate(basis):
+        np.testing.assert_array_equal(sf.tangent_coordinates(b), np.eye(len(basis))[i])
+
+
 def test_iteration_jacobian_rejects_deeper_deficit():
     gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=11)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False, False]), gt, 0)
