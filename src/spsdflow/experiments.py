@@ -42,8 +42,6 @@ SCENARIOS = (
 )
 
 _ESCAPE_DEFICIT = {"escape_s_r1": 1, "escape_s_r2": 2}   # rank deficit of the start
-_GD_SCENARIO_COLUMNS = ("step", "dist", "sigma_r", "grad_norm")
-_FLOW_SCENARIO_COLUMNS = ("t", "dist", "sigma_r", "grad_norm")
 
 
 def default_eigenvalues(r: int) -> tuple[float, ...]:
@@ -88,6 +86,8 @@ class ExperimentConfig:
             object.__setattr__(self, "mode", "fixed")
         if self.repeats < 1:
             raise ValueError("repeats must be at least 1")
+        if self.workers < 1:
+            raise ValueError("workers must be at least 1")
         if not 1 <= self.r <= self.n:
             raise ValueError("need 1 <= r <= n")
         if self.scenario.startswith("escape") and not self.epsilon > 0:
@@ -181,7 +181,7 @@ def _descent_start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> Factore
 
 def _gd_result(cfg: ExperimentConfig, run: RgdRun, gt: GroundTruth, gd: GDConfig,
                seed: int) -> RunResult:
-    records, columns = run.records, _GD_SCENARIO_COLUMNS
+    records, columns = run.records, run.columns
     if cfg.scenario == "example_1_1":
         # Distance of each logged iterate to the rank-one limit is not
         # reconstructible from the standard series; recompute by replay.
@@ -214,10 +214,8 @@ def _run_flow(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> RunResult:
     system = "dlra" if cfg.scenario == "flow_dlra" else "rescaled"
     init = _random_point(gt, np.random.default_rng(seed))
     res = integrate(system, init, gt, cfg.t_end, StepControls(dt=cfg.dt))
-    last = res.records[-1]
-    terminal = {"status": res.status, "t": float(last[0]), "dist": float(last[1]),
-                "sigma_r": float(last[2]), "grad_norm": float(last[3])}
-    return RunResult(seed, res.status, res.records, _FLOW_SCENARIO_COLUMNS, terminal)
+    terminal = {"status": res.status, **dict(zip(res.columns, map(float, res.records[-1])))}
+    return RunResult(seed, res.status, res.records, res.columns, terminal)
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list[RunResult]:

@@ -15,7 +15,8 @@ eigenvalue.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -89,10 +90,17 @@ class StepControls:
 
 @dataclass
 class FlowResult:
-    states: list[FlowState]
     records: np.ndarray          # columns: t, dist, sigma_r, grad_norm
     status: str
     columns: tuple[str, ...] = ("t", "dist", "sigma_r", "grad_norm")
+    _init: FactoredPoint | None = field(default=None, repr=False)
+    _factors: list = field(default_factory=list, repr=False)    # (U, S) after each step
+
+    @cached_property
+    def states(self) -> list[FlowState]:
+        """The logged points as validated states, built on first access."""
+        points = [self._init] + [FactoredPoint(U, S) for U, S in self._factors]
+        return [FlowState(p, float(t)) for p, t in zip(points, self.records[:, 0])]
 
 
 def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
@@ -106,7 +114,11 @@ def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
     more), and the inverse does not exist when some other eigenvalue
     vanishes; both cases raise.
     """
-    S = sym(np.asarray(S, dtype=float))
+    return _scaled_inverse(sym(np.asarray(S, dtype=float)), gap_tol, singular_tol)[0]
+
+
+def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=1e-12) -> tuple[np.ndarray, float]:
+    """:func:`scaled_inverse` of a symmetric S, and sigma_min(S) from the same eigh."""
     w, P = np.linalg.eigh(S)               # ascending
     scale = max(1.0, float(np.abs(w).max()))
     smin = w[0]
@@ -118,7 +130,7 @@ def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
     ratios = np.empty_like(w)
     ratios[0] = 1.0                        # sigma_min / sigma_min, exact
     ratios[1:] = smin / w[1:]
-    return sym((P * ratios) @ P.T)
+    return sym((P * ratios) @ P.T), float(smin)
 
 
 def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
@@ -166,11 +178,15 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
     return out
 
 
-def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth,
-               sigma_floor: float = 1e-14) -> tuple[np.ndarray, np.ndarray]:
+# Below StepControls.sigma_floor, which integrate tests on logged points only:
+# an RK4 stage may dip under that floor first, and must not raise for it.
+_PLAIN_SIGMA_FLOOR = 1e-14
+
+
+def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
     """Plain right-hand side on raw factors (no state validation)."""
     A, B, _ = factored_blocks(U, gt)
-    if np.linalg.eigvalsh(sym(S))[0] <= sigma_floor:
+    if np.linalg.eigvalsh(sym(S))[0] <= _PLAIN_SIGMA_FLOOR:
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
     dU = np.linalg.solve(sym(S), B.T).T
     return dU, A - sym(S)
@@ -181,8 +197,8 @@ def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth
     """Rescaled right-hand side on raw factors; tolerates a singular core."""
     S = sym(S)
     A, B, _ = factored_blocks(U, gt)
-    smin = float(np.linalg.eigvalsh(S)[0])
-    return B @ scaled_inverse(S), (A - S) * smin
+    phi, smin = _scaled_inverse(S)
+    return B @ phi, (A - S) * smin
 
 
 def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -227,21 +243,18 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     U = np.array(init.U)
     S = np.array(init.S)
     t = 0.0
-    states = [FlowState(init, 0.0)]
-    rows = []
+    rows, factors = [], []
     status = "t_end"
-
-    def log_row(U, S, t):
+    while True:
         dist, grad = residual_norms(U, S, *factored_blocks(U, gt), gt.d)
-        rows.append((t, dist, float(np.linalg.eigvalsh(S)[0]), grad))
-        return rows[-1]
-
-    row = log_row(U, S, t)
-    while t < t_end - 1e-12:
-        if ctl.tau_conv > 0 and row[3] < ctl.tau_conv:
+        sigma = float(np.linalg.eigvalsh(S)[0])
+        rows.append((t, dist, sigma, grad))
+        if not t < t_end - 1e-12:
+            break
+        if ctl.tau_conv > 0 and grad < ctl.tau_conv:
             status = "converged"
             break
-        if system == "dlra" and row[2] < ctl.sigma_floor:
+        if system == "dlra" and sigma < ctl.sigma_floor:
             status = "sigma_floor"
             break
         h = min(ctl.dt, t_end - t)
@@ -258,10 +271,9 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
             U, R = np.linalg.qr(U)
             S = sym(R @ S @ R.T)
         t += h
-        states.append(FlowState(FactoredPoint(U, S), t))
-        row = log_row(U, S, t)
+        factors.append((U, S))
 
-    return FlowResult(states, np.array(rows, dtype=float), status)
+    return FlowResult(np.array(rows, dtype=float), status, _init=init, _factors=factors)
 
 
 @dataclass

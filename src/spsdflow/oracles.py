@@ -24,22 +24,15 @@ class ChartDomainError(ValueError):
     """Input outside the chart domain (near-singular leading block sum)."""
 
 
-def _axpy(x, a, d):
-    if isinstance(x, np.ndarray):
-        return x + a * d
-    return tuple(xi + a * di for xi, di in zip(x, d))
-
-
-def _scale_diff(fp, fm, h):
-    if isinstance(fp, np.ndarray) or np.isscalar(fp):
-        return (fp - fm) / (2.0 * h)
-    return tuple((p - m) / (2.0 * h) for p, m in zip(fp, fm))
+def _leafwise(f, x, *rest):
+    """f over matching leaves: arrays and scalars, or the items of tuples of them."""
+    if isinstance(x, np.ndarray) or np.isscalar(x):
+        return f(x, *rest)
+    return tuple(_leafwise(f, *items) for items in zip(x, *rest))
 
 
 def _max_abs(x) -> float:
-    if isinstance(x, np.ndarray) or np.isscalar(x):
-        return float(np.max(np.abs(x)))
-    return max(_max_abs(xi) for xi in x)
+    return float(np.max(_leafwise(lambda v: np.max(np.abs(v)), x)))
 
 
 def fd_directional(fun, x, direction, h: float):
@@ -50,7 +43,9 @@ def fd_directional(fun, x, direction, h: float):
     of ``fun``'s value.  O(h^2) accurate for twice-differentiable maps, and
     exact for linear ones.
     """
-    return _scale_diff(fun(_axpy(x, h, direction)), fun(_axpy(x, -h, direction)), h)
+    def at(a):
+        return fun(_leafwise(lambda xi, di: xi + a * di, x, direction))
+    return _leafwise(lambda p, m: (p - m) / (2.0 * h), at(h), at(-h))
 
 
 @dataclass
@@ -77,11 +72,7 @@ def fd_report(fun, x, direction, reference, hs) -> FDReport:
     errors = []
     for h in hs:
         est = fd_directional(fun, x, direction, h)
-        if isinstance(reference, np.ndarray) or np.isscalar(reference):
-            diff = est - reference
-        else:
-            diff = tuple(e - r for e, r in zip(est, reference))
-        errors.append(_max_abs(diff))
+        errors.append(_max_abs(_leafwise(lambda e, ref: e - ref, est, reference)))
     floor = 1e-30
     slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, floor)), 1)[0]
     ref_scale = max(_max_abs(reference), 1e-30)

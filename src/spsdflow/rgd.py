@@ -316,7 +316,7 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     K = Up^T X_m Up: on the coordinates of :func:`boundary_frame` (N row-major)
     the matrix is I plus alpha * kron(e e^T, K^T) on the N-block.
     """
-    if alpha <= 0:
+    if not alpha > 0:
         raise ValueError("alpha must be positive")
     frame = boundary_frame(tup)
     r, n = frame.r, frame.n

@@ -224,6 +224,8 @@ def test_cli_exit_codes(tmp_path):
     ["flow-rescaled", "--dt", "-0.1"],
     ["flow-rescaled", "--t-end", "-1"],
     ["flow-dlra", "--dt", "0"],
+    ["global-fixed", "--workers", "0"],
+    ["global-fixed", "--workers", "-3"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2

@@ -181,6 +181,37 @@ def test_integrate_zero_horizon():
     assert res.states[0].point is init
 
 
+def test_rescaled_step_decomposes_each_core_once(monkeypatch):
+    # one eigh per RK4 stage gives both S^-1 sigma_min and sigma_min, one
+    # eigvalsh per logged point gives sigma_r, and states wait until read
+    gt = small_instance(11)
+    rng = np.random.default_rng(3)
+    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
+    calls = {"eigh": 0, "eigvalsh": 0, "FactoredPoint": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    monkeypatch.setattr(sf.FactoredPoint, "__post_init__",
+                        counted("FactoredPoint", sf.FactoredPoint.__post_init__))
+    res = sf.integrate("rescaled", init, gt, 0.5, sf.StepControls(dt=0.05))
+    steps = len(res.records) - 1
+    assert steps == 10
+    assert calls == {"eigh": 4 * steps, "eigvalsh": steps + 1, "FactoredPoint": 0}
+    states = res.states
+    assert calls["FactoredPoint"] == steps and res.states is states
+    assert len(states) == steps + 1 and states[0].point is init
+    for k, st in enumerate(states):
+        assert st.t == res.records[k, 0]
+        dense = frob(st.point.dense() - gt.dense())
+        assert abs(dense - res.records[k, 1]) <= 1e-12 * frob(gt.dense())
+
+
 def test_integrate_converges_from_generic_start():
     gt = sf.make_ground_truth(100, 5, [5, 4, 3, 2, 1], seed=11)
     rng = np.random.default_rng(4)

@@ -160,6 +160,14 @@ def test_gdconfig_validation():
         sf.GDConfig(alpha=0.1, tol_dist=0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.0, float("nan")])
+def test_iteration_jacobian_rejects_nonpositive_alpha(alpha):
+    gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=8)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
+    with pytest.raises(ValueError, match="alpha must be positive"):
+        sf.iteration_jacobian(tup, gt, alpha)
+
+
 # ------------------------------------------------------------ batched runs
 
 def _escape_starts(gt, count):
