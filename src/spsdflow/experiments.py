@@ -23,6 +23,7 @@ from .manifold import FactoredPoint, GroundTruth, frob
 from .rgd import GDConfig, RgdRun, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - kept importable from this module
 from .spurious import (
+    _tagged_rng,
     haar_orthonormal,
     make_ground_truth,
     perturb_near,
@@ -156,8 +157,9 @@ def _gd_config(cfg: ExperimentConfig) -> GDConfig:
     return GDConfig(alpha=cfg.alpha, mode=mode, max_iters=cfg.max_iters, tol_dist=cfg.tol_dist)
 
 
-def _random_point(gt: GroundTruth, rng: np.random.Generator) -> FactoredPoint:
+def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
     """Generic random full-rank point: Haar columns, spectrum near the target's."""
+    rng = _tagged_rng(seed, tag=3)      # the bare seed is the target's own stream
     U = haar_orthonormal(rng, gt.n, gt.r)
     lam = np.sort(rng.uniform(0.5 * gt.d[-1], 1.5 * gt.d[0], gt.r))[::-1]
     return FactoredPoint(U, np.diag(lam))
@@ -176,7 +178,7 @@ def _descent_start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> Factore
         tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))
         radius = cfg.epsilon * frob(sp.dense())
         return perturb_near(tup, radius, seed=int(rng.integers(2**63)))
-    return _random_point(gt, rng)
+    return _random_point(gt, seed)
 
 
 def _gd_result(cfg: ExperimentConfig, run: RgdRun, gt: GroundTruth, gd: GDConfig,
@@ -212,7 +214,7 @@ def _replay_distances(init, gt, gd, count, ref):
 
 def _run_flow(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> RunResult:
     system = "dlra" if cfg.scenario == "flow_dlra" else "rescaled"
-    init = _random_point(gt, np.random.default_rng(seed))
+    init = _random_point(gt, seed)
     res = integrate(system, init, gt, cfg.t_end, StepControls(dt=cfg.dt))
     terminal = {"status": res.status, **dict(zip(res.columns, map(float, res.records[-1])))}
     return RunResult(seed, res.status, res.records, res.columns, terminal)

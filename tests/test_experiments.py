@@ -7,7 +7,8 @@ import pytest
 import spsdflow as sf
 from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (ExperimentConfig, RunResult, _pointwise_stats,
-                                  default_eigenvalues)
+                                  _random_point, _shared_ground_truth, default_eigenvalues)
+from spsdflow.manifold import factored_blocks
 
 
 def small_cfg(**kw):
@@ -117,6 +118,15 @@ def test_global_varying_scenario_converges_inside_stability_region():
                            repeats=3, max_iters=3000, master_seed=11)
     report = sf.run_experiment(cfg)
     assert report.status_counts == {"converged_to_X": 3}
+
+
+def test_random_start_of_run_0_is_generic():
+    # global_* and flow_* starts draw from their own stream, not the target's:
+    # run 0's columns reach outside the target's eigenvectors (B = 0 there)
+    cfg = ExperimentConfig(scenario="global_varying")
+    gt = _shared_ground_truth(cfg)
+    _, B, _ = factored_blocks(_random_point(gt, cfg.master_seed).U, gt)
+    assert np.linalg.matrix_rank(B) == cfg.r
 
 
 def test_pointwise_stats_over_ragged_runs():
