@@ -43,9 +43,8 @@ def fd_directional(fun, x, direction, h: float):
     of ``fun``'s value.  O(h^2) accurate for twice-differentiable maps, and
     exact for linear ones.
     """
-    def at(a):
-        return fun(_leafwise(lambda xi, di: xi + a * di, x, direction))
-    return _leafwise(lambda p, m: (p - m) / (2.0 * h), at(h), at(-h))
+    fp, fm = (fun(_leafwise(lambda xi, di: xi + a * di, x, direction)) for a in (h, -h))
+    return _leafwise(lambda p, m: (p - m) / (2.0 * h), fp, fm)
 
 
 @dataclass
