@@ -121,8 +121,8 @@ def test_global_varying_scenario_converges_inside_stability_region():
 
 
 def test_random_start_of_run_0_is_generic():
-    # global_* and flow_* starts draw from their own stream, not the target's:
-    # run 0's columns reach outside the target's eigenvectors (B = 0 there)
+    # global_* and flow_* starts draw from their own stream, not the target's,
+    # so run 0's columns reach outside the target's eigenvectors
     cfg = ExperimentConfig(scenario="global_varying")
     gt = _shared_ground_truth(cfg)
     _, B, _ = factored_blocks(_random_point(gt, cfg.master_seed).U, gt)
