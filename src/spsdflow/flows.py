@@ -235,7 +235,7 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     """
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if t_end < 0:
+    if not t_end >= 0:
         raise ValueError("t_end must be nonnegative")
     rhs = _SYSTEMS[system]
     ctl = controls or StepControls()

@@ -185,12 +185,12 @@ def residual_norms(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     ``TAU_ORTH``, which shifts S - A by about drift * ||S||, above the
     rounding floor near the target, so that block is corrected to first
     order in F = U^T U - I (the blocks of the orthonormal U (I + F)^-1/2).
+    The ranks may differ: F is r_U-by-r_U and C = V^T U is r_X-by-r_U.
     Stacked inputs give one pair of norms per point.
     """
-    r = d.shape[0]
-    T = S - A + sym((mT(U) @ U - np.eye(r)) @ (S + A))
+    T = S - A + sym((mT(U) @ U - np.eye(U.shape[-1])) @ (S + A))
     grad2 = inner(T, T) + 2.0 * inner(B, B)
-    DE = d[:, None] * (np.eye(r) - C @ mT(C))   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
+    DE = d[:, None] * (np.eye(d.shape[0]) - C @ mT(C))   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
     return np.sqrt(grad2 + inner(DE, mT(DE))), np.sqrt(grad2)
 
 
@@ -200,7 +200,8 @@ def distance_to_target(point: FactoredPoint, gt: GroundTruth) -> float:
     Sums the squares of :func:`residual_norms` instead of expanding
     ||S||^2 - 2 <S, A> + ||d||^2: the expansion's rounding error,
     eps ||X||_F^2 / dist, swamps distances near 1e-6, while the sum of
-    squares is off by a few eps ||X||_F, like the dense ||Z - X||_F.
+    squares is off by a few eps ||X||_F, like the dense ||Z - X||_F.  The
+    point and the target may differ in rank.
     """
     return float(residual_norms(point.U, point.S, *factored_blocks(point.U, gt), gt.d)[0])
 

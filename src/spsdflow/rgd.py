@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -173,8 +173,8 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
 BLOCK_ENTRIES = 2**14
 
 
-def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig
-                  ) -> Iterator[RgdRun]:
+def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig,
+                  observe: Callable | None = None) -> Iterator[RgdRun]:
     """Run descent from every start together against the shared target.
 
     Yields the runs in start order, each bit for bit the :func:`run_rgd`
@@ -184,11 +184,18 @@ def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig
     time, so a caller that builds starts lazily keeps one block alive.  A
     rank-deficient retraction in any run raises :class:`RankDropError`
     naming the step.
+
+    ``observe(k, ids, U, S)``, if given, is called at each step k with the
+    runs that log that step, before they take it: ``ids`` index them among
+    all the starts, ``U`` and ``S`` are their stacked factors, and the
+    observer must not modify them.
     """
     size = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     starts = iter(inits)
+    first = 0                             # index of the block's first start
     while block := list(islice(starts, size)):
-        runs = _descend(block, gt, cfg)
+        runs = _descend(block, gt, cfg, first, observe)
+        first += len(block)
         # Free the starts before the next block is sampled: holding them
         # then raised peak RSS by 8 MB at n=1000 (heap fragmentation around
         # the sampler's dense temporaries; live memory was the same).
@@ -196,8 +203,8 @@ def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig
         yield from runs
 
 
-def _descend(inits: list[FactoredPoint], gt: GroundTruth, cfg: GDConfig
-             ) -> list[RgdRun]:
+def _descend(inits: list[FactoredPoint], gt: GroundTruth, cfg: GDConfig, first: int,
+             observe: Callable | None) -> list[RgdRun]:
     """Step a stack of runs together; a run leaves the stack at its terminal status."""
     U = np.stack([p.U for p in inits])
     S = np.stack([p.S for p in inits])
@@ -224,6 +231,8 @@ def _descend(inits: list[FactoredPoint], gt: GroundTruth, cfg: GDConfig
             U, S, A, B, ids, dist, sigma, grad = (
                 x[go] for x in (U, S, A, B, ids, dist, sigma, grad))
         log.append(np.column_stack([ids, np.full(ids.size, k), dist, sigma, grad]))
+        if observe is not None:
+            observe(k, first + ids, U, S)
         U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
         if deficient.any():
             raise RankDropError(f"iterate left the manifold at step {k}")

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
 from spsdflow.cli import _config_from_args, build_parser, main
-from spsdflow.experiments import (ExperimentConfig, RunResult, _pointwise_stats,
+from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, _pointwise_stats,
                                   _random_point, _shared_ground_truth, default_eigenvalues)
 from spsdflow.manifold import factored_blocks
 
@@ -30,6 +31,31 @@ def test_config_json_roundtrip():
     cfg = small_cfg(epsilon=5e-3, workers=2, out_dir="/tmp/somewhere")
     back = ExperimentConfig.from_json(cfg.to_json())
     assert back == cfg
+
+
+_positive = st.floats(min_value=1e-6, max_value=1e6)
+
+
+@st.composite
+def valid_configs(draw):
+    """Any valid configuration: every scenario, n - r and r at least 2 (escape from deficit two)."""
+    n = draw(st.integers(4, 40))
+    r = draw(st.integers(2, n - 2))
+    eigenvalues = draw(st.none() | st.lists(_positive, min_size=r, max_size=r, unique=True))
+    return ExperimentConfig(
+        scenario=draw(st.sampled_from(SCENARIOS)), n=n, r=r,
+        eigenvalues=eigenvalues, alpha=draw(_positive),
+        mode=draw(st.sampled_from(["fixed", "varying"])), epsilon=draw(_positive),
+        repeats=draw(st.integers(1, 1000)), max_iters=draw(st.integers(0, 10**6)),
+        master_seed=draw(st.integers(0, 2**63)), tol_dist=draw(_positive),
+        dt=draw(_positive), t_end=draw(st.floats(0.0, 1e6)),
+        out_dir=draw(st.none() | st.text(max_size=12)), workers=draw(st.integers(1, 64)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(valid_configs())
+def test_any_valid_config_roundtrips_through_json(cfg):
+    assert ExperimentConfig.from_json(cfg.to_json()) == cfg
 
 
 def test_config_rejects_unknown_fields_and_bad_values():

@@ -275,6 +275,15 @@ def test_integrate_unknown_system():
         sf.integrate("euler", init, gt, 1.0)
 
 
+@pytest.mark.parametrize("t_end", [-1.0, float("nan")])
+def test_integrate_rejects_negative_or_nan_horizon(t_end):
+    # a NaN horizon must not end the run at once as if it had been reached
+    gt = small_instance(0)
+    init = sf.FactoredPoint(gt.U, np.diag(gt.d))
+    with pytest.raises(ValueError, match="t_end"):
+        sf.integrate("rescaled", init, gt, t_end)
+
+
 @pytest.mark.parametrize("dt", [0.0, -1e-2])
 def test_step_controls_reject_nonpositive_dt(dt):
     # a step of zero length (or a negative one) would never reach t_end

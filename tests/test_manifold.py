@@ -161,12 +161,17 @@ def test_gradient_directional_derivative_consistency():
         assert abs(fd - np.sum(g * xid)) < 50 * h
 
 
-def test_gradient_norm_matches_dense():
+@pytest.mark.parametrize("target_rank", [1, 2, 4, 6])
+def test_gradient_norm_matches_dense(target_rank):
+    # the point has rank 4; the target's rank need not match it
     rng = np.random.default_rng(5)
-    gt = sf.make_ground_truth(12, 4, [4, 3, 2, 1], seed=3)
+    gt = sf.make_ground_truth(12, target_rank, np.arange(target_rank, 0.0, -1.0), seed=3)
     pt = random_point(rng, 12, 4)
-    assert abs(sf.gradient_norm(pt, gt) - frob(sf.riem_gradient(pt, gt))) < 1e-10
-    assert abs(sf.distance_to_target(pt, gt) - frob(pt.dense() - gt.dense())) < 1e-10
+    grad, dist = frob(sf.riem_gradient(pt, gt)), frob(pt.dense() - gt.dense())
+    assert abs(sf.gradient_norm(pt, gt) - grad) < 1e-12 * grad
+    assert abs(sf.distance_to_target(pt, gt) - dist) < 1e-12 * dist
+    if target_rank != 4:
+        return
     # next to the target the squared distance is ~1e-14 against ||X||_F^2 = 30,
     # so any formula that subtracts O(1) terms loses every digit
     U_near = np.linalg.qr(gt.U + 3e-9 * rng.standard_normal((12, 4)))[0]

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 import spsdflow as sf
 from spsdflow import rgd
-from spsdflow.manifold import frob
+from spsdflow.experiments import ExperimentConfig
+from spsdflow.manifold import factored_blocks, frob, residual_norms
 from spsdflow.rgd import RankDropError, run_rgd_batch
 
 
@@ -197,6 +200,58 @@ def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
                     == (ref.terminal_dist, ref.terminal_sigma_r, ref.terminal_grad_norm))
             assert np.array_equal(run.point.U, ref.point.U)
             assert np.array_equal(run.point.S, ref.point.S)
+
+
+def _observed_escape_runs(monkeypatch):
+    """Five escape runs in blocks of two, and what an observer saw of each."""
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=13)
+    starts = _escape_starts(gt, 5)
+    cfg = sf.GDConfig(alpha=0.2, max_iters=5000)
+    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * gt.n * gt.r)
+    seen = {}                                 # start index -> [(k, dist at U, S)]
+
+    def observe(k, ids, U, S):
+        assert len({int(i) // 2 for i in ids}) == 1   # the runs of one block
+        dist = residual_norms(U, S, *factored_blocks(U, gt), gt.d)[0]
+        for i, x in zip(ids, dist):
+            seen.setdefault(int(i), []).append((k, x))
+
+    runs = list(run_rgd_batch(starts, gt, cfg, observe))
+    return runs, seen, list(run_rgd_batch(starts, gt, cfg))
+
+
+def test_observer_sees_every_logged_step_with_global_ids(monkeypatch):
+    runs, seen, _ = _observed_escape_runs(monkeypatch)
+    assert sorted(seen) == list(range(5))
+    assert len({run.iters for run in runs}) > 1   # runs leave the stack at different steps
+    for i, run in enumerate(runs):
+        steps, dists = np.array(seen[i]).T
+        assert np.array_equal(steps, run.records[:, 0])
+        assert np.array_equal(dists, run.records[:, 1])      # bit for bit
+
+
+def test_observer_leaves_runs_unchanged(monkeypatch):
+    runs, _, plain = _observed_escape_runs(monkeypatch)
+    for run, ref in zip(runs, plain, strict=True):
+        assert (run.status, run.iters) == (ref.status, ref.iters)
+        assert np.array_equal(run.records, ref.records)
+        assert ((run.terminal_dist, run.terminal_sigma_r, run.terminal_grad_norm)
+                == (ref.terminal_dist, ref.terminal_sigma_r, ref.terminal_grad_norm))
+        assert np.array_equal(run.point.U, ref.point.U)
+        assert np.array_equal(run.point.S, ref.point.S)
+
+
+def test_example_limit_distances_do_not_depend_on_blocks(monkeypatch):
+    # every run of example 1.1 starts at the same point, so each must carry
+    # the single run's column whichever block it descends in
+    cfg = ExperimentConfig(scenario="example_1_1", alpha=0.3, repeats=1)
+    col = sf.run_experiment(cfg).runs[0].records[:, -1]
+    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * 3 * 2)           # blocks of two
+    report = sf.run_experiment(dataclasses.replace(cfg, repeats=3))
+    assert len(col) > 10
+    for run in report.runs:
+        assert run.columns[-1] == "dist_limit"
+        assert np.array_equal(run.records[:, -1], col)
 
 
 def test_batch_mixes_terminal_statuses():
