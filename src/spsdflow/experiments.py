@@ -2,10 +2,10 @@
 
 A scenario maps a configuration plus a per-run seed to a trajectory log.
 Runs are repeated ``repeats`` times (run i uses seed master_seed + i).
-Descent runs share the target and step together as one batch (one chunk of
-seeds per worker of an optional process pool); a run's result does not
-depend on its batch, so the emitted files are byte-identical regardless of
-the parallelism degree or batching.
+The runs share the target and step together as one batch, descent or flow
+(one chunk of seeds per worker of an optional process pool); a run's result
+does not depend on its batch, so the emitted files are byte-identical
+regardless of the parallelism degree or batching.
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .flows import StepControls, integrate
+from .flows import FlowResult, StepControls, _integrate_batch
+from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
 from .manifold import FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms
 from .rgd import GDConfig, RgdRun, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
@@ -86,19 +87,19 @@ class ExperimentConfig:
             object.__setattr__(self, "r", 2)
             object.__setattr__(self, "eigenvalues", (2.0, 1.0))
             object.__setattr__(self, "mode", "fixed")
-        if self.repeats < 1:
-            raise ValueError("repeats must be at least 1")
-        if self.workers < 1:
-            raise ValueError("workers must be at least 1")
+        for name, least in dict(n=1, r=1, repeats=1, max_iters=0, master_seed=0, workers=1).items():
+            value = getattr(self, name)
+            if type(value) is not int or value < least:   # JSON ints only: no floats or bools
+                raise ValueError(f"{name} must be an int of at least {least}")
         if not 1 <= self.r <= self.n:
             raise ValueError("need 1 <= r <= n")
-        if self.scenario.startswith("escape") and not self.epsilon > 0:
-            raise ValueError("escape scenarios require a positive epsilon")
+        if self.scenario.startswith("escape") and not 0 < self.epsilon < np.inf:
+            raise ValueError("escape scenarios require a positive finite epsilon")
         deficit = _ESCAPE_DEFICIT.get(self.scenario, 0)
         if self.r < deficit or self.n - self.r < deficit:
             raise ValueError(f"escape from rank deficit {deficit} needs r, n - r >= {deficit}")
-        if not self.t_end >= 0:
-            raise ValueError("t_end must be nonnegative")
+        if not 0 <= self.t_end < np.inf:
+            raise ValueError("t_end must be finite and nonnegative")
         eig = self.eigenvalues
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
         target_spectrum(eig, self.r)
@@ -173,8 +174,8 @@ def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
     return FactoredPoint(U, np.diag(lam))
 
 
-def _descent_start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> FactoredPoint:
-    """The seeded start of a descent scenario (its factors only)."""
+def _start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> FactoredPoint:
+    """The seeded start of a run (its factors only)."""
     if cfg.scenario == "example_1_1":
         return _EXAMPLE_START
     rng = np.random.default_rng(seed)
@@ -198,25 +199,19 @@ def _gd_result(run: RgdRun, seed: int) -> RunResult:
     return RunResult(seed, run.status, run.records, run.columns, terminal)
 
 
-def _run_flow(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> RunResult:
-    system = "dlra" if cfg.scenario == "flow_dlra" else "rescaled"
-    init = _random_point(gt, seed)
-    res = integrate(system, init, gt, cfg.t_end, StepControls(dt=cfg.dt))
-    terminal = {"status": res.status, **dict(zip(res.columns, map(float, res.records[-1])))}
-    return RunResult(seed, res.status, res.records, res.columns, terminal)
-
-
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list[RunResult]:
     """Runs of the configured scenario for the given seeds, against the shared target.
 
-    Descent scenarios descend from all their starts as one batch, which
-    builds the starts one at a time as it takes them in; flow scenarios run
-    one by one.
+    They descend or flow as one batch, which builds the starts as it takes them in.
     """
-    if cfg.scenario in ("flow_dlra", "flow_rescaled"):
-        return [_run_flow(cfg, gt, seed) for seed in seeds]
+    starts = (_start(cfg, gt, seed) for seed in seeds)
+    if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
+        runs = _integrate_batch(system, starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
+        cols = FlowResult.columns
+        return [RunResult(seed, status, rows, cols,
+                          {"status": status, **dict(zip(cols, map(float, rows[-1])))})
+                for (status, rows, _, _), seed in zip(runs, seeds)]
     gd = _gd_config(cfg)
-    starts = (_descent_start(cfg, gt, seed) for seed in seeds)
     if cfg.scenario != "example_1_1":
         return [_gd_result(run, seed) for run, seed in zip(run_rgd_batch(starts, gt, gd), seeds)]
     dist_limit = [[] for _ in seeds]      # each iterate's distance to the rank-one limit

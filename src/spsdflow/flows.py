@@ -26,10 +26,10 @@ from .manifold import (
     TAU_ORTH,
     factored_blocks,
     frob,
-    orth_defect,
-    residual_norms,
+    mT,
     sym,
 )
+from .rgd import _reorthonormalize, _run_blocks
 from .spurious import SpuriousTuple
 
 
@@ -84,8 +84,8 @@ class StepControls:
     max_drift: float = 1e-6
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValueError("dt must be positive")
+        if not 0 < self.dt < np.inf:
+            raise ValueError("dt must be positive and finite")
 
 
 @dataclass
@@ -117,20 +117,19 @@ def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
     return _scaled_inverse(sym(np.asarray(S, dtype=float)), gap_tol, singular_tol)[0]
 
 
-def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=1e-12) -> tuple[np.ndarray, float]:
-    """:func:`scaled_inverse` of a symmetric S, and sigma_min(S) from the same eigh."""
+def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=1e-12
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`scaled_inverse` and sigma_min(S) from one eigh, per core of a stack."""
     w, P = np.linalg.eigh(S)               # ascending
-    scale = max(1.0, float(np.abs(w).max()))
-    smin = w[0]
-    singular = abs(smin) <= singular_tol * scale
-    if singular and (len(w) > 1 and abs(w[1]) <= gap_tol * scale):
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
+    vanishing = np.abs(w) <= singular_tol * scale
+    if (vanishing[..., :1] & (np.abs(w[..., 1:2]) <= gap_tol * scale)).any():
         raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
-    if len(w) > 1 and np.abs(w[1:]).min() <= singular_tol * scale:
+    if vanishing[..., 1:].any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; inverse undefined")
-    ratios = np.empty_like(w)
-    ratios[0] = 1.0                        # sigma_min / sigma_min, exact
-    ratios[1:] = smin / w[1:]
-    return sym((P * ratios) @ P.T), float(smin)
+    ratios = np.ones_like(w)               # sigma_min / sigma_min, exact
+    ratios[..., 1:] = w[..., :1] / w[..., 1:]
+    return sym((P * ratios[..., None, :]) @ mT(P)), w[..., 0]
 
 
 def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
@@ -184,21 +183,21 @@ _PLAIN_SIGMA_FLOOR = 1e-14
 
 
 def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
-    """Plain right-hand side on raw factors (no state validation)."""
+    """Plain right-hand side on raw factors (no state validation); stacks give stacks."""
     A, B, _ = factored_blocks(U, gt)
-    if np.linalg.eigvalsh(sym(S))[0] <= _PLAIN_SIGMA_FLOOR:
+    if (np.linalg.eigvalsh(sym(S))[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
-    dU = np.linalg.solve(sym(S), B.T).T
+    dU = mT(np.linalg.solve(sym(S), mT(B)))
     return dU, A - sym(S)
 
 
 def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled right-hand side on raw factors; tolerates a singular core."""
+    """Rescaled right-hand side on raw factors; tolerates a singular core; stacks give stacks."""
     S = sym(S)
     A, B, _ = factored_blocks(U, gt)
     phi, smin = _scaled_inverse(S)
-    return B @ phi, (A - S) * smin
+    return B @ phi, (A - S) * smin[..., None, None]
 
 
 def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -231,32 +230,33 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     The factor U is re-orthonormalized by QR (with the core transformed
     congruently, leaving Z unchanged) whenever its drift exceeds the stored
     tolerance.  Per-step records hold (t, ||Z - X||_F, sigma_r(Z),
-    ||grad||_F), including the initial and final states.
+    ||grad||_F), including the initial and final states.  This is a batch of
+    one through :func:`_integrate_batch`, whose observer keeps the states.
+    """
+    seen = []                              # (U, S) of each point before it steps
+    status, records, U, S = next(_integrate_batch(
+        system, [init], gt, t_end, controls, lambda t, ids, U, S: seen.append((U[0], S[0]))))
+    return FlowResult(records, status, _init=init, _factors=(seen + [(U, S)])[1:])
+
+
+def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
+                     controls: StepControls | None = None, observe=None):
+    """:func:`integrate` from every start as one batch, whose runs share the flow time.
+
+    Yields ``(status, records, U, S)`` per run from :func:`spsdflow.rgd._run_blocks`.
     """
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if not t_end >= 0:
-        raise ValueError("t_end must be nonnegative")
+    if not 0 <= t_end < np.inf:
+        raise ValueError("t_end must be finite and nonnegative")
     rhs = _SYSTEMS[system]
     ctl = controls or StepControls()
 
-    U = np.array(init.U)
-    S = np.array(init.S)
-    t = 0.0
-    rows, factors = [], []
-    status = "t_end"
-    while True:
-        dist, grad = residual_norms(U, S, *factored_blocks(U, gt), gt.d)
-        sigma = float(np.linalg.eigvalsh(S)[0])
-        rows.append((t, dist, sigma, grad))
-        if not t < t_end - 1e-12:
-            break
-        if ctl.tau_conv > 0 and grad < ctl.tau_conv:
-            status = "converged"
-            break
-        if system == "dlra" and sigma < ctl.sigma_floor:
-            status = "sigma_floor"
-            break
+    def stop(t, dist, sigma, grad):
+        return [(not t < t_end - 1e-12, "t_end"), (grad < ctl.tau_conv, "converged"),
+                (system == "dlra" and sigma < ctl.sigma_floor, "sigma_floor")]
+
+    def advance(t, U, S, A, B, sigma):
         h = min(ctl.dt, t_end - t)
         kU1, kS1 = rhs(U, S, gt)
         kU2, kS2 = rhs(U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
@@ -264,16 +264,13 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
         kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         S = sym(S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4))
-        drift = orth_defect(U)
-        if drift > ctl.max_drift:
-            raise StepSizeError(f"orthonormality drift {drift:.2e} at t={t + h:.4g}; reduce dt")
-        if drift > TAU_ORTH:
-            U, R = np.linalg.qr(U)
-            S = sym(R @ S @ R.T)
-        t += h
-        factors.append((U, S))
+        drift = _reorthonormalize(U, S, TAU_ORTH)
+        if (drift > ctl.max_drift).any():
+            raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
+                                "reduce dt")
+        return t + h, U, S
 
-    return FlowResult(np.array(rows, dtype=float), status, _init=init, _factors=factors)
+    return _run_blocks(inits, gt, stop, advance, observe)
 
 
 @dataclass

@@ -62,11 +62,11 @@ class GDConfig:
     grad_tol: float = TAU_GRAD
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ValueError("alpha must be positive and finite")
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        if self.max_iters < 0 or not self.tol_dist > 0:
+        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf:
             raise ValueError("invalid iteration controls")
 
 
@@ -83,8 +83,7 @@ def _stepsizes(cfg: GDConfig, sigma: np.ndarray) -> np.ndarray:
 
 
 def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
-          stepsize: np.ndarray, rank_tol: float = 1e-12
-          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          stepsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One retracted descent step for a stack of runs, from precomputed blocks.
 
     Z - a * grad = U (S - a (S - A)) U^T + a B U^T + a U B^T is supported on
@@ -105,16 +104,23 @@ def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     w, V = np.linalg.eigh(K)              # ascending: keep the last r, largest first
     lam = np.maximum(0.0, w[:, ::-1][:, :r])   # clamped at +0.0, like np.clip
     scale = np.maximum(1.0, np.abs(w).max(axis=1))
-    deficient = lam[:, -1] <= rank_tol * scale
+    deficient = lam[:, -1] <= 1e-12 * scale
     U_new = np.concatenate([U, Q], axis=2) @ V[:, :, ::-1][:, :, :r]
     S_new = np.zeros((R, r, r))
     S_new.reshape(R, r * r)[:, ::r + 1] = lam  # diag(lam) per run
-    G = mT(U_new) @ U_new - np.eye(r)
-    redo = np.sqrt(inner(G, G)) > 0.1 * TAU_ORTH   # drift control over long runs
-    if redo.any():
-        U_new[redo], Rq = np.linalg.qr(U_new[redo])
-        S_new[redo] = sym(Rq @ S_new[redo] @ mT(Rq))
+    _reorthonormalize(U_new, S_new, 0.1 * TAU_ORTH)   # drift control over long runs
     return U_new, S_new, deficient
+
+
+def _reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
+    """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
+    G = mT(U) @ U - np.eye(U.shape[-1])
+    drift = np.sqrt(inner(G, G))
+    redo = drift > tol
+    if redo.any():
+        U[redo], R = np.linalg.qr(U[redo])
+        S[redo] = sym(R @ S[redo] @ mT(R))
+    return drift
 
 
 def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> StepResult:
@@ -125,7 +131,8 @@ def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> StepResult
     """
     U, S = point.U[None], point.S[None]
     A, B, _ = factored_blocks(U, gt)
-    U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
+    sigma = np.linalg.eigvalsh(S)[:, 0] if cfg.mode == "varying" else np.zeros(1)
+    U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
     return StepResult(FactoredPoint(U[0], S[0]), bool(deficient[0]))
 
 
@@ -177,68 +184,68 @@ def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig
                   observe: Callable | None = None) -> Iterator[RgdRun]:
     """Run descent from every start together against the shared target.
 
-    Yields the runs in start order, each bit for bit the :func:`run_rgd`
-    run of its start: runs are stepped as stacked factors, in blocks of at
-    most ``BLOCK_ENTRIES`` factor entries, and no run's arithmetic depends
-    on the others.  Starts are taken in and runs handed out one block at a
-    time, so a caller that builds starts lazily keeps one block alive.  A
-    rank-deficient retraction in any run raises :class:`RankDropError`
-    naming the step.
+    Yields each run in start order, bit for bit its :func:`run_rgd` run, on :func:`_run_blocks`
+    (``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
+    """
+    def stop(k, dist, sigma, grad):
+        return [(dist < cfg.tol_dist, "converged_to_X"), (grad < cfg.grad_tol, "near_spurious"),
+                (k >= cfg.max_iters, "max_iters")]
 
-    ``observe(k, ids, U, S)``, if given, is called at each step k with the
-    runs that log that step, before they take it: ``ids`` index them among
-    all the starts, ``U`` and ``S`` are their stacked factors, and the
-    observer must not modify them.
+    def advance(k, U, S, A, B, sigma):
+        U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
+        if deficient.any():
+            raise RankDropError(f"iterate left the manifold at step {k}")
+        return k + 1, U, S
+
+    for status, rows, U, S in _run_blocks(inits, gt, stop, advance, observe):
+        yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
+
+
+def _run_blocks(inits: Iterable[FactoredPoint], gt: GroundTruth, stop: Callable,
+                advance: Callable, observe: Callable | None) -> Iterator[tuple]:
+    """Step the runs from every start as stacked factors: the runner of descent and flows.
+
+    Runs go in blocks of at most ``BLOCK_ENTRIES`` factor entries, taken in and handed
+    out one at a time; no run's arithmetic depends on the others.  A run ends at the first
+    (mask, status) of ``stop`` whose mask holds; the rest go to ``observe`` (with indices
+    among all starts), then on by ``advance``.  Yields per run its status, its rows (x
+    from 0 in each block, dist, sigma_r, grad_norm) to the terminal point, and its factors.
     """
     size = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     starts = iter(inits)
     first = 0                             # index of the block's first start
     while block := list(islice(starts, size)):
-        runs = _descend(block, gt, cfg, first, observe)
+        U = np.stack([p.U for p in block])
+        S = np.stack([p.S for p in block])
+        ids = np.arange(first, first + len(block))   # start index of each stacked run
         first += len(block)
         # Free the starts before the next block is sampled: holding them
         # then raised peak RSS by 8 MB at n=1000 (heap fragmentation around
         # the sampler's dense temporaries; live memory was the same).
         del block
-        yield from runs
-
-
-def _descend(inits: list[FactoredPoint], gt: GroundTruth, cfg: GDConfig, first: int,
-             observe: Callable | None) -> list[RgdRun]:
-    """Step a stack of runs together; a run leaves the stack at its terminal status."""
-    U = np.stack([p.U for p in inits])
-    S = np.stack([p.S for p in inits])
-    ids = np.arange(len(inits))           # start index of each stacked run
-    ends: list[tuple] = [()] * len(inits)
-    log = []                              # rows (id, step, dist, sigma, grad) per step
-    k = 0
-    while True:
-        A, B, C = factored_blocks(U, gt)
-        dist, grad = residual_norms(U, S, A, B, C, gt.d)
-        sigma = np.linalg.eigvalsh(S)[:, 0]
-        converged = dist < cfg.tol_dist
-        stationary = grad < cfg.grad_tol
-        done = converged | stationary | (k >= cfg.max_iters)
-        for j in np.flatnonzero(done):
-            status = ("converged_to_X" if converged[j] else
-                      "near_spurious" if stationary[j] else "max_iters")
-            ends[ids[j]] = (status, FactoredPoint(U[j], S[j]), k,
-                            float(dist[j]), float(sigma[j]), float(grad[j]))
-        if done.all():
-            break
-        if done.any():
-            go = ~done
-            U, S, A, B, ids, dist, sigma, grad = (
-                x[go] for x in (U, S, A, B, ids, dist, sigma, grad))
-        log.append(np.column_stack([ids, np.full(ids.size, k), dist, sigma, grad]))
-        if observe is not None:
-            observe(k, first + ids, U, S)
-        U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
-        if deficient.any():
-            raise RankDropError(f"iterate left the manifold at step {k}")
-        k += 1
-    rows = np.concatenate(log) if log else np.zeros((0, 5))
-    return [RgdRun(rows[rows[:, 0] == i, 1:], *end) for i, end in enumerate(ends)]
+        ends = {}
+        log = []                          # rows (id, x, dist, sigma, grad) per point
+        x = 0
+        while True:
+            A, B, C = factored_blocks(U, gt)
+            dist, grad = residual_norms(U, S, A, B, C, gt.d)
+            sigma = np.linalg.eigvalsh(S)[:, 0]
+            log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad]))
+            done = np.zeros(ids.size, dtype=bool)
+            for mask, status in stop(x, dist, sigma, grad):
+                for j in np.flatnonzero(mask & ~done):
+                    ends[ids[j]] = (status, U[j], S[j])
+                done |= mask
+            if done.all():
+                break
+            if done.any():
+                U, S, A, B, ids, sigma = (v[~done] for v in (U, S, A, B, ids, sigma))
+            if observe is not None:
+                observe(x, ids, U, S)
+            x, U, S = advance(x, U, S, A, B, sigma)
+        rows = np.concatenate(log)
+        for i, (status, U, S) in sorted(ends.items()):
+            yield status, rows[rows[:, 0] == i, 1:], U, S
 
 
 def tangent_coordinate_basis(frame: EigenFrame) -> list[TangentParam]:

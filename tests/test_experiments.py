@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
+from spsdflow import rgd
 from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, _pointwise_stats,
                                   _random_point, _shared_ground_truth, default_eigenvalues)
@@ -187,20 +188,23 @@ def _read_csvs(root: Path) -> dict:
     return {k: v for k, v in _read_all(root).items() if k.endswith(".csv")}
 
 
-def test_reproducible_and_parallel_invariant(tmp_path):
-    a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
-    sf.run_experiment(small_cfg(repeats=3, out_dir=str(a)))
-    sf.run_experiment(small_cfg(repeats=3, out_dir=str(b)))
-    sf.run_experiment(small_cfg(repeats=3, out_dir=str(c), workers=2))
-    fa, fb, fc = _read_csvs(a), _read_csvs(b), _read_csvs(c)
-    # identical data regardless of output directory or parallelism degree
-    assert fa == fb == fc
-    ja = json.loads((a / "summary.json").read_text())
-    jc = json.loads((c / "summary.json").read_text())
-    for j in (ja, jc):
-        j["config"].pop("out_dir")
-        j["config"].pop("workers")
-    assert ja == jc
+def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
+    for name, fields in (("descent", {}), ("flow", {"scenario": "flow_rescaled", "t_end": 0.3})):
+        a, b, c = (tmp_path / name / x for x in "abc")
+        sf.run_experiment(small_cfg(repeats=3, out_dir=str(a), **fields))
+        sf.run_experiment(small_cfg(repeats=3, out_dir=str(b), **fields))
+        with monkeypatch.context() as m:
+            m.setattr(rgd, "BLOCK_ENTRIES", 24 * 3)          # blocks of one run
+            sf.run_experiment(small_cfg(repeats=3, out_dir=str(c), workers=2, **fields))
+        fa, fb, fc = _read_csvs(a), _read_csvs(b), _read_csvs(c)
+        # identical data regardless of output directory, parallelism degree or blocks
+        assert fa == fb == fc
+        ja = json.loads((a / "summary.json").read_text())
+        jc = json.loads((c / "summary.json").read_text())
+        for j in (ja, jc):
+            j["config"].pop("out_dir")
+            j["config"].pop("workers")
+        assert ja == jc
 
 
 def test_different_seed_changes_data(tmp_path):
@@ -262,10 +266,34 @@ def test_cli_exit_codes(tmp_path):
     ["flow-dlra", "--dt", "0"],
     ["global-fixed", "--workers", "0"],
     ["global-fixed", "--workers", "-3"],
+    ["flow-rescaled", "--n", "20", "--r", "2", "--t-end", "inf"],
+    ["global-fixed", "--alpha", "inf"],
+    ["escape-s-r1", "--epsilon", "inf"],
+    ["global-fixed", "--tol-dist", "inf"],
+    ["flow-dlra", "--dt", "inf"],
+    ["global-fixed", "--seed", "-1"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields", [
+    {"n": 30.5}, {"repeats": 2.5}, {"workers": 1.5}, {"max_iters": 10.5},
+    {"master_seed": -1}, {"repeats": True},
+])
+def test_cli_config_file_integer_fields_exit_2(tmp_path, capsys, fields):
+    # json.loads keeps 2.5 a float and true a bool: the config must reject them itself
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"scenario": "global_fixed", "n": 12, "r": 2, **fields}))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "must be an int of at least" in capsys.readouterr().err
+
+
+def test_config_rejects_counts_that_do_not_roundtrip_through_json():
+    # a numpy count would pass the runs and then fail writing summary.json
+    with pytest.raises(ValueError, match="n must be an int"):
+        small_cfg(n=np.int64(24))
 
 
 def _parsed(argv):

@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
+from spsdflow import rgd
+from spsdflow.experiments import _random_point
 from spsdflow.flows import (
     EigenGapError,
     ExtensionError,
     SingularCoreError,
     StepSizeError,
+    _integrate_batch,
     _raw_rescaled,
 )
-from spsdflow.manifold import frob, sym
+from spsdflow.manifold import TAU_ORTH, frob, mT, sym
 
 
 def random_state(rng, gt, spectrum):
@@ -275,9 +279,10 @@ def test_integrate_unknown_system():
         sf.integrate("euler", init, gt, 1.0)
 
 
-@pytest.mark.parametrize("t_end", [-1.0, float("nan")])
+@pytest.mark.parametrize("t_end", [-1.0, float("nan"), float("inf")])
 def test_integrate_rejects_negative_or_nan_horizon(t_end):
-    # a NaN horizon must not end the run at once as if it had been reached
+    # a NaN horizon must not end the run at once as if it had been reached,
+    # and an infinite one must not step forever
     gt = small_instance(0)
     init = sf.FactoredPoint(gt.U, np.diag(gt.d))
     with pytest.raises(ValueError, match="t_end"):
@@ -289,6 +294,69 @@ def test_step_controls_reject_nonpositive_dt(dt):
     # a step of zero length (or a negative one) would never reach t_end
     with pytest.raises(ValueError):
         sf.StepControls(dt=dt)
+
+
+def _mixed_flow_starts():
+    """Starts on example 1.1's target that end in every status of a flow run."""
+    gt = sf.GroundTruth(np.eye(3)[:, :2], np.array([2.0, 1.0]))
+    rng = np.random.default_rng(12)
+    starts = [
+        sf.FactoredPoint(sf.haar_orthonormal(rng, 3, 2), np.diag([2.5, 0.8])),  # t_end
+        sf.FactoredPoint(gt.U, np.diag(gt.d)),                           # converged at t = 0
+        sf.FactoredPoint(np.eye(3)[:, [0, 2]], np.diag([2.0, 1e-11])),   # dlra: sigma_floor
+        sf.FactoredPoint(gt.U, np.diag([2.0, 1.0 + 1e-12])),             # converged later
+        sf.FactoredPoint(sf.haar_orthonormal(rng, 3, 2), np.diag([1.9, 0.6])),  # t_end
+    ]
+    return gt, starts
+
+
+@pytest.mark.parametrize("system, statuses", [
+    ("dlra", {"t_end", "converged", "sigma_floor"}),
+    ("rescaled", {"t_end", "converged"}),
+])
+def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses):
+    gt, starts = _mixed_flow_starts()
+    ctl = sf.StepControls(dt=0.05, tau_conv=1e-13)
+    alone = [sf.integrate(system, init, gt, 3.0, ctl) for init in starts]
+    assert {res.status for res in alone} == statuses
+    assert len({len(res.records) for res in alone}) > 2   # runs leave the stack at different steps
+    # blocks of one run, of two (the last one of one run), and all five together
+    for entries in (gt.n * gt.r, 2 * gt.n * gt.r, rgd.BLOCK_ENTRIES):
+        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+        runs = list(_integrate_batch(system, starts, gt, 3.0, ctl))
+        for (status, records, U, S), ref in zip(runs, alone, strict=True):
+            assert status == ref.status
+            assert np.array_equal(records, ref.records)
+            assert np.array_equal(U, ref.states[-1].point.U)
+            assert np.array_equal(S, ref.states[-1].point.S)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(kind=st.sampled_from(["fixed", "varying", "dlra", "rescaled"]), n=st.integers(3, 10),
+       data=st.data())
+def test_observed_factors_stay_orthonormal_and_symmetric(kind, n, data):
+    # along descent and both flows, every point the runner reaches keeps U
+    # within TAU_ORTH of orthonormal and S exactly symmetric
+    r = data.draw(st.integers(1, n - 1), label="r")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    gt = sf.make_ground_truth(n, r, [float(r - i) for i in range(r)], seed=seed)
+    starts = [_random_point(gt, seed + i) for i in range(3)]
+    seen = []
+
+    def observe(x, ids, U, S):
+        assert np.all(np.linalg.norm(mT(U) @ U - np.eye(r), axis=(1, 2)) <= TAU_ORTH)
+        assert np.array_equal(S, mT(S))
+        seen.append(x)
+
+    if kind in ("fixed", "varying"):
+        # a step below 1 keeps the retained core positive definite
+        alpha = data.draw(st.floats(0.05, 0.9), label="alpha") / (1.5 * r if kind == "varying" else 1)
+        list(rgd.run_rgd_batch(starts, gt, sf.GDConfig(alpha, kind, max_iters=200), observe))
+    else:
+        dt = data.draw(st.floats(2e-3, 1e-2), label="dt")      # larger steps may drift too far
+        list(_integrate_batch(kind, starts, gt, data.draw(st.floats(0.02, 0.5), label="t_end"),
+                              sf.StepControls(dt=dt), observe))
+    assert seen
 
 
 # ---------------------------------------------------------- boundary Jacobian

@@ -60,6 +60,16 @@ def test_step_matches_dense_retraction():
         assert frob(fast.dense() - dense.dense()) < 1e-12
 
 
+@pytest.mark.parametrize("mode, calls", [("fixed", 0), ("varying", 1)])
+def test_step_decomposes_the_core_only_for_the_varying_rule(monkeypatch, mode, calls):
+    # only alpha * sigma_r(Z_k) needs the core's smallest eigenvalue
+    gt, pt = small_example()
+    eigvalsh, seen = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda *a, **kw: seen.append(1) or eigvalsh(*a, **kw))
+    sf.rgd_step(pt, gt, sf.GDConfig(alpha=0.3, mode=mode))
+    assert len(seen) == calls
+
+
 def test_descent_within_stability_envelope():
     rng = np.random.default_rng(3)
     for trial in range(5):
