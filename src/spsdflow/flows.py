@@ -86,6 +86,8 @@ class StepControls:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
+        if np.isnan([self.tau_conv, self.sigma_floor, self.max_drift]).any():
+            raise ValueError("step controls must not be NaN")
 
 
 @dataclass
@@ -156,24 +158,21 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
     """
     S = sym(np.asarray(S, dtype=float))
     D = np.asarray(direction, dtype=float)
-    r = S.shape[0]
-    if D.shape != (r, r):
+    if D.shape != S.shape:
         raise ValueError("direction has wrong shape")
     w, P = np.linalg.eigh(S)
     scale = max(1.0, float(np.abs(w).max()))
-    if r > 1 and np.diff(w).min() <= gap_tol * scale:
+    if (np.diff(w) <= gap_tol * scale).any():
         raise EigenGapError("eigenvalues are not well separated")
-    if r > 1 and np.abs(w[1:]).min() <= singular_tol * scale:
+    if (np.abs(w[1:]) <= singular_tol * scale).any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; derivative undefined")
     C = P.T @ D @ P
-    K = np.zeros((r, r))
-    if r > 1:
-        K[1:, 1:] = -w[0] / np.outer(w[1:], w[1:])
-        K[0, 1:] = -1.0 / w[1:]
-        K[1:, 0] = -1.0 / w[1:]
+    K = np.zeros_like(C)                   # at r = 1 every slice below is empty
+    K[1:, 1:] = -w[0] / np.outer(w[1:], w[1:])
+    K[0, 1:] = -1.0 / w[1:]
+    K[1:, 0] = -1.0 / w[1:]
     out = P @ (K * C) @ P.T
-    if r > 1:
-        out += C[0, 0] * (P[:, 1:] * (1.0 / w[1:])) @ P[:, 1:].T
+    out += C[0, 0] * (P[:, 1:] * (1.0 / w[1:])) @ P[:, 1:].T
     return out
 
 

@@ -231,25 +231,31 @@ class RetractionResult(NamedTuple):
     rank_deficient: bool
 
 
+def truncate(w: np.ndarray, V: np.ndarray, r: int, rank_tol: float = 1e-12) -> tuple:
+    """Keep the r largest pairs of an ascending ``eigh`` (one matrix or a stack), largest first.
+
+    Returns (V_r, kept, deficient): a view of V, the values clamped at +0.0, and whether the
+    smallest kept value is at most ``rank_tol * max(1, max|w|)``.
+    """
+    kept = np.maximum(w[..., ::-1][..., :r], 0.0)
+    deficient = kept[..., -1] <= rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+    return V[..., ::-1][..., :r], kept, deficient
+
+
 def retract(W: np.ndarray, r: int, rank_tol: float = 1e-12) -> RetractionResult:
     """Best Frobenius rank-<=r SPSD approximation of a symmetric matrix.
 
-    Eigendecomposes W, keeps the r algebraically largest eigenvalues and
-    clamps them at zero from below.  The stored core of the result is
-    diagonal.  ``rank_deficient`` reports whether fewer than r retained
-    eigenvalues are positive (the minimizer then leaves the rank-r
+    Eigendecomposes W and applies :func:`truncate`.  The stored core of the
+    result is diagonal.  ``rank_deficient`` reports whether fewer than r
+    retained eigenvalues are positive (the minimizer then leaves the rank-r
     manifold; ties at zero are broken by the eigensolver's ordering).
     """
     W = sym(np.asarray(W, dtype=float))
-    n = W.shape[0]
-    if not 0 < r <= n:
+    if not 0 < r <= W.shape[0]:
         raise ValueError("rank out of range")
-    w, V = np.linalg.eigh(W)
-    idx = np.argsort(w)[::-1][:r]
-    kept = np.clip(w[idx], 0.0, None)
-    scale = max(1.0, float(np.abs(w).max()))
-    deficient = bool(kept[-1] <= rank_tol * scale)
-    return RetractionResult(FactoredPoint(V[:, idx], np.diag(kept)), deficient)
+    V, kept, deficient = truncate(*np.linalg.eigh(W), r, rank_tol)
+    # Column-major U: factored_blocks' products round differently on a row-major copy.
+    return RetractionResult(FactoredPoint(np.asfortranarray(V), np.diag(kept)), bool(deficient))
 
 
 def riem_gradient(point: FactoredPoint, gt: GroundTruth) -> np.ndarray:

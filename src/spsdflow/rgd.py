@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from .manifold import (
     EigenFrame,
     FactoredPoint,
     GroundTruth,
+    RetractionResult,
     TAU_GRAD,
     TAU_ORTH,
     TangentParam,
@@ -32,9 +33,11 @@ from .manifold import (
     inner,
     mT,
     residual_norms,
-    retract,
+    retract,  # noqa: F401 - perfbench/tracer.py wraps rgd.retract
     sym,
+    truncate,
 )
+from .oracles import fd_directional
 from .spurious import SpuriousTuple
 
 
@@ -66,13 +69,8 @@ class GDConfig:
             raise ValueError("alpha must be positive and finite")
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf:
+        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf or np.isnan(self.grad_tol):
             raise ValueError("invalid iteration controls")
-
-
-class StepResult(NamedTuple):
-    point: FactoredPoint
-    rank_deficient: bool
 
 
 def _stepsizes(cfg: GDConfig, sigma: np.ndarray) -> np.ndarray:
@@ -101,11 +99,8 @@ def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     K[:, :r, :r] = S - a * (S - A)
     K[:, r:, :r] = a * Rb
     K[:, :r, r:] = mT(K[:, r:, :r])
-    w, V = np.linalg.eigh(K)              # ascending: keep the last r, largest first
-    lam = np.maximum(0.0, w[:, ::-1][:, :r])   # clamped at +0.0, like np.clip
-    scale = np.maximum(1.0, np.abs(w).max(axis=1))
-    deficient = lam[:, -1] <= 1e-12 * scale
-    U_new = np.concatenate([U, Q], axis=2) @ V[:, :, ::-1][:, :, :r]
+    V, lam, deficient = truncate(*np.linalg.eigh(K), r)
+    U_new = np.concatenate([U, Q], axis=2) @ V
     S_new = np.zeros((R, r, r))
     S_new.reshape(R, r * r)[:, ::r + 1] = lam  # diag(lam) per run
     _reorthonormalize(U_new, S_new, 0.1 * TAU_ORTH)   # drift control over long runs
@@ -123,7 +118,7 @@ def _reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
     return drift
 
 
-def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> StepResult:
+def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RetractionResult:
     """One projected gradient step; flags a rank-deficient retraction.
 
     Equivalent to ``retract(Z - alpha_k * riem_gradient(Z), r)`` but runs in
@@ -133,7 +128,7 @@ def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> StepResult
     A, B, _ = factored_blocks(U, gt)
     sigma = np.linalg.eigvalsh(S)[:, 0] if cfg.mode == "varying" else np.zeros(1)
     U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
-    return StepResult(FactoredPoint(U[0], S[0]), bool(deficient[0]))
+    return RetractionResult(FactoredPoint(U[0], S[0]), bool(deficient[0]))
 
 
 @dataclass
@@ -363,24 +358,27 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     """Finite-difference matrix of the iteration map near a boundary tuple.
 
     The map is only differentiable on the manifold interior, so the
-    differential is sampled at the full-rank point Z(eps) obtained by
-    inflating the tuple core by eps and letting eps -> 0; central
-    differences run through the retraction in ambient space and the result
-    is expressed in the same tangent coordinates as
-    :func:`iteration_jacobian` (the shared eigen-frame of the tuple and of
-    Z(eps)).
+    differential is sampled at the full-rank point Z(eps), the tuple core
+    inflated by eps.  Central differences run through the dense retraction
+    and :func:`rgd_step`'s arithmetic, in stacks of at most
+    ``BLOCK_ENTRIES // n**2`` columns, and are expressed in the tangent
+    coordinates of :func:`iteration_jacobian` (the eigen-frame that the
+    tuple and Z(eps) share).
     """
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
 
     def step_dense(W):
-        pt = retract(W, tup.r).point
-        return rgd_step(pt, gt, cfg).point.dense()
+        V, kept, _ = truncate(*np.linalg.eigh(W), tup.r)
+        U, S = mT(mT(V).copy()), kept[..., None] * np.eye(tup.r)   # U column-major, as retract's
+        A, B, _ = factored_blocks(U, gt)
+        U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
+        return sym(U @ S @ mT(U))
 
+    directions = (xi.to_ambient() for xi in tangent_coordinate_basis(frame))
     cols = []
-    for xi in tangent_coordinate_basis(frame):
-        d = xi.to_ambient()
-        diff = (step_dense(Z0 + h * d) - step_dense(Z0 - h * d)) / (2.0 * h)
-        cols.append(tangent_coordinates(TangentParam.from_ambient(frame, diff)))
+    while block := list(islice(directions, max(1, BLOCK_ENTRIES // frame.n**2))):
+        diff = fd_directional(step_dense, Z0, np.stack(block), h)
+        cols += [tangent_coordinates(TangentParam.from_ambient(frame, d)) for d in diff]
     return np.array(cols).T

@@ -17,7 +17,6 @@ import numpy as np
 from .manifold import (
     FactoredPoint,
     GroundTruth,
-    RetractionResult,
     TAU_ORTH,
     _freeze,
     complement_basis,
@@ -221,14 +220,14 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int,
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
     event) are resampled.
     """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not 0 < epsilon < np.inf:
+        raise ValueError("epsilon must be positive and finite")
     Z = tup.factored().dense()
     rng = _tagged_rng(seed, tag=2)
     for _ in range(max_tries):
         E = sym(rng.standard_normal((tup.n, tup.n)))
         E /= frob(E)
-        res: RetractionResult = retract(Z + epsilon * E, tup.r)
+        res = retract(Z + epsilon * E, tup.r)
         if not res.rank_deficient:
             return res.point
     raise RuntimeError(

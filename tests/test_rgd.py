@@ -6,7 +6,7 @@ import pytest
 import spsdflow as sf
 from spsdflow import rgd
 from spsdflow.experiments import ExperimentConfig
-from spsdflow.manifold import factored_blocks, frob, residual_norms
+from spsdflow.manifold import factored_blocks, frob, residual_norms, sym
 from spsdflow.rgd import RankDropError, run_rgd_batch
 
 
@@ -171,6 +171,25 @@ def test_gdconfig_validation():
         sf.GDConfig(alpha=0.1, mode="adaptive")
     with pytest.raises(ValueError):
         sf.GDConfig(alpha=0.1, tol_dist=0.0)
+
+
+def _boundary_tuple():
+    gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=9)
+    return sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, seed=0)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sf.perturb_near(_boundary_tuple(), float("nan"), seed=0), "epsilon"),
+    (lambda: sf.perturb_near(_boundary_tuple(), float("inf"), seed=0), "epsilon"),
+    (lambda: sf.StepControls(max_drift=float("nan")), "NaN"),
+    (lambda: sf.StepControls(tau_conv=float("nan")), "NaN"),
+    (lambda: sf.StepControls(sigma_floor=float("nan")), "NaN"),
+    (lambda: sf.GDConfig(alpha=0.1, grad_tol=float("nan")), "iteration controls"),
+], ids=["epsilon-nan", "epsilon-inf", "max_drift", "tau_conv", "sigma_floor", "grad_tol"])
+def test_non_finite_controls_are_rejected(build, message):
+    # each would otherwise fail inside eigh or switch its stopping test off silently
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 @pytest.mark.parametrize("alpha", [0.0, float("nan")])
@@ -338,6 +357,35 @@ def test_iteration_jacobian_matches_fd_and_resolves_constant():
     err_single = abs(top - (1 + alpha * rep.d_miss))
     err_double = abs(top - (1 + 2 * alpha * rep.d_miss))
     assert err_single < 1e-4 and err_single < err_double / 1000
+
+
+def _fd_by_column(tup, gt, alpha, eps=1e-5, h=1e-8):
+    """fd_iteration_matrix one tangent column at a time, through the public retract and rgd_step."""
+    frame = sf.boundary_frame(tup)
+    cfg = sf.GDConfig(alpha=alpha, mode="varying", max_iters=1)
+    Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
+
+    def step_dense(W):
+        return sf.rgd_step(sf.retract(W, tup.r).point, gt, cfg).point.dense()
+
+    cols = []
+    for xi in sf.tangent_coordinate_basis(frame):
+        d = xi.to_ambient()
+        diff = (step_dense(Z0 + h * d) - step_dense(Z0 - h * d)) / (2.0 * h)
+        cols.append(sf.tangent_coordinates(sf.TangentParam.from_ambient(frame, diff)))
+    return np.array(cols).T
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (20, 4), (40, 5)])
+def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
+    gt = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=21)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
+    ref = _fd_by_column(tup, gt, 0.7)
+    # stacks of one column, of three (the last one partial at n=20 and n=40), and the default
+    for entries in (1, 3 * n**2, rgd.BLOCK_ENTRIES):
+        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+        fd = sf.fd_iteration_matrix(tup, gt, 0.7)
+        assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])
