@@ -69,7 +69,7 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
         return cfg
     fields = {k: v for k, v in vars(args).items() if k != "command"}
     eig = fields.pop("eigenvalues", None)
-    if eig:
+    if eig is not None:                   # "" is an empty spectrum, not the default
         fields["eigenvalues"] = tuple(float(v) for v in eig.split(","))
     return ExperimentConfig(**fields)
 
@@ -82,6 +82,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         cfg = _config_from_args(args)
+        if cfg.out_dir is not None:       # a file in the way fails here, not after the runs
+            Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, KeyError, TypeError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

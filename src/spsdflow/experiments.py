@@ -14,6 +14,7 @@ import json
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -204,7 +205,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list
 
     They descend or flow as one batch, which builds the starts as it takes them in.
     """
-    starts = (_start(cfg, gt, seed) for seed in seeds)
+    starts = [partial(_start, cfg, gt, seed) for seed in seeds]
     if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
         runs = _integrate_batch(system, starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
         cols = FlowResult.columns
@@ -288,12 +289,9 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     return report
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
-    lines = [",".join(header)] + [",".join(_fmt(v) for v in row) for row in rows]
+    template = ",".join(["%.17g"] * len(header))      # '%.17g' % v == format(v, '.17g')
+    lines = [",".join(header)] + [template % tuple(row) for row in np.asarray(rows).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 

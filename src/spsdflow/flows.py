@@ -181,20 +181,21 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
 _PLAIN_SIGMA_FLOOR = 1e-14
 
 
-def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
-    """Plain right-hand side on raw factors (no state validation); stacks give stacks."""
-    A, B, _ = factored_blocks(U, gt)
+def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None = None
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Plain right-hand side on raw factors (stacks give stacks), from U's blocks ``AB`` if set."""
+    A, B = AB or factored_blocks(U, gt)[:2]
     if (np.linalg.eigvalsh(sym(S))[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
     dU = mT(np.linalg.solve(sym(S), mT(B)))
     return dU, A - sym(S)
 
 
-def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth
+def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled right-hand side on raw factors; tolerates a singular core; stacks give stacks."""
+    """Rescaled right-hand side on raw factors, as :func:`_raw_plain`; tolerates a singular core."""
     S = sym(S)
-    A, B, _ = factored_blocks(U, gt)
+    A, B = AB or factored_blocks(U, gt)[:2]
     phi, smin = _scaled_inverse(S)
     return B @ phi, (A - S) * smin[..., None, None]
 
@@ -257,7 +258,7 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
 
     def advance(t, U, S, A, B, sigma):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = rhs(U, S, gt)
+        kU1, kS1 = rhs(U, S, gt, (A, B))     # the runner's blocks at this point
         kU2, kS2 = rhs(U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
         kU3, kS3 = rhs(U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
         kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)

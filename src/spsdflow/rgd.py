@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Collection, Iterator
 
 import numpy as np
 
@@ -175,7 +175,7 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
 BLOCK_ENTRIES = 2**14
 
 
-def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig,
+def run_rgd_batch(inits: Collection, gt: GroundTruth, cfg: GDConfig,
                   observe: Callable | None = None) -> Iterator[RgdRun]:
     """Run descent from every start together against the shared target.
 
@@ -196,20 +196,23 @@ def run_rgd_batch(inits: Iterable[FactoredPoint], gt: GroundTruth, cfg: GDConfig
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
 
 
-def _run_blocks(inits: Iterable[FactoredPoint], gt: GroundTruth, stop: Callable,
+def _run_blocks(inits: Collection, gt: GroundTruth, stop: Callable,
                 advance: Callable, observe: Callable | None) -> Iterator[tuple]:
     """Step the runs from every start as stacked factors: the runner of descent and flows.
 
-    Runs go in blocks of at most ``BLOCK_ENTRIES`` factor entries, taken in and handed
-    out one at a time; no run's arithmetic depends on the others.  A run ends at the first
-    (mask, status) of ``stop`` whose mask holds; the rest go to ``observe`` (with indices
-    among all starts), then on by ``advance``.  Yields per run its status, its rows (x
+    A start is a point or a function that builds it when its block is taken in.  Runs go in
+    blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining the last,
+    taken in and handed out one at a time; no run's arithmetic depends on the others.  A run ends
+    at the first (mask, status) of ``stop`` whose mask holds; the rest go to ``observe`` (with
+    indices among all starts), then on by ``advance``.  Yields per run its status, its rows (x
     from 0 in each block, dist, sigma_r, grad_norm) to the terminal point, and its factors.
     """
-    size = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
-    starts = iter(inits)
+    cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
+    starts, left = iter(inits), len(inits)
     first = 0                             # index of the block's first start
-    while block := list(islice(starts, size)):
+    while block := list(islice(starts, left if 2 * left <= 3 * cap else cap)):
+        block = [p() if callable(p) else p for p in block]
+        left -= len(block)
         U = np.stack([p.U for p in block])
         S = np.stack([p.S for p in block])
         ids = np.arange(first, first + len(block))   # start index of each stacked run

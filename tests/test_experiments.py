@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +8,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import rgd
+from spsdflow import cli, rgd
 from spsdflow.cli import _config_from_args, build_parser, main
-from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, _pointwise_stats,
-                                  _random_point, _shared_ground_truth, default_eigenvalues)
+from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, SummaryReport,
+                                  _pointwise_stats, _random_point, _shared_ground_truth,
+                                  default_eigenvalues)
 from spsdflow.manifold import factored_blocks
 
 
@@ -207,6 +210,43 @@ def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
         assert ja == jc
 
 
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(scenario=st.sampled_from(["escape_s_r1", "flow_rescaled", "example_1_1"]),
+       repeats=st.integers(1, 7), cap=st.integers(1, 4))
+def test_outputs_are_byte_identical_across_block_sizes(scenario, repeats, cap):
+    # blocks of cap runs, a short tail joining the last one, write what one block writes
+    cfg = ExperimentConfig(scenario=scenario, n=8, r=2, repeats=repeats, max_iters=300,
+                           dt=0.05, t_end=0.5, master_seed=3)
+    with tempfile.TemporaryDirectory() as tmp:
+        one, split = Path(tmp, "one"), Path(tmp, "split")
+        sf.run_experiment(dataclasses.replace(cfg, out_dir=str(one)))
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(rgd, "BLOCK_ENTRIES", cap * cfg.n * cfg.r)
+            sf.run_experiment(dataclasses.replace(cfg, out_dir=str(split)))
+        assert len(_read_csvs(one)) == repeats + 1
+        assert _read_csvs(one) == _read_csvs(split)
+
+
+def test_csv_rows_keep_special_values_exactly(tmp_path):
+    # one '%.17g' template per row writes what format(v, '.17g') writes per value
+    cols = ("step", "dist", "sigma_r", "grad_norm")
+    records = np.array([[0.0, np.nan, np.inf, -np.inf], [1.0, -0.0, 5e-324, 1e308],
+                        [2.0, 0.1, 1 / 3, -2.5e-17]])
+    run = RunResult(0, "max_iters", records, cols, {})
+    stats = {name: {q: records[:, j].tolist() for q in ("median", "min", "max")}
+             for j, name in enumerate(cols[1:], start=1)}
+    report = SummaryReport(small_cfg(), cols, [0], ["max_iters"], {"max_iters": 1}, stats,
+                           len(records), [{}], [run])
+    sf.emit_summary(report, tmp_path)
+    lines = (tmp_path / "run_000.csv").read_text().splitlines()
+    assert lines[1:] == ["0,nan,inf,-inf", "1,-0,4.9406564584124654e-324,1e+308",
+                         "2,0.10000000000000001,0.33333333333333331,-2.4999999999999999e-17"]
+    assert lines[1:] == [",".join(format(v, ".17g") for v in row) for row in records]
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert summary[2] == "1," + ",".join(["-0"] * 3 + ["4.9406564584124654e-324"] * 3
+                                         + ["1e+308"] * 3)
+
+
 def test_different_seed_changes_data(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     sf.run_experiment(small_cfg(out_dir=str(a)))
@@ -272,10 +312,24 @@ def test_cli_exit_codes(tmp_path):
     ["global-fixed", "--tol-dist", "inf"],
     ["flow-dlra", "--dt", "inf"],
     ["global-fixed", "--seed", "-1"],
+    ["escape-s-r1", "--n", "20", "--r", "3", "--eigenvalues", ""],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_cli_out_dir_in_the_way_of_a_file_exits_2_before_any_run(tmp_path, capsys,
+                                                                  monkeypatch, below):
+    # an existing file, or a path under one, cannot hold the outputs
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / below if below else tmp_path / "file"
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("a run started"))
+    assert main(["global-fixed", "--n", "12", "--r", "2", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error" in err and str(out) in err
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("fields", [

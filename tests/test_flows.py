@@ -320,7 +320,7 @@ def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses)
     alone = [sf.integrate(system, init, gt, 3.0, ctl) for init in starts]
     assert {res.status for res in alone} == statuses
     assert len({len(res.records) for res in alone}) > 2   # runs leave the stack at different steps
-    # blocks of one run, of two (the last one of one run), and all five together
+    # blocks of one run, of two and three (the tail run joins the last block), and all five
     for entries in (gt.n * gt.r, 2 * gt.n * gt.r, rgd.BLOCK_ENTRIES):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
         runs = list(_integrate_batch(system, starts, gt, 3.0, ctl))

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
 from spsdflow.manifold import frob, sym
@@ -179,6 +180,24 @@ def test_gradient_norm_matches_dense(target_rank):
     dense = frob(near.dense() - gt.dense())
     assert 1e-8 < dense < 1e-6
     assert abs(sf.distance_to_target(near, gt) - dense) < 1e-6 * dense
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1))
+def test_factored_norms_match_dense_for_any_pair_of_ranks(data, n, seed):
+    # point and target ranks 1-6 independently, the point sharing some of the
+    # target's eigenvectors (exact cancellations) and carrying a non-diagonal core
+    p = data.draw(st.integers(1, min(6, n)), label="point rank")
+    q = data.draw(st.integers(1, min(6, n)), label="target rank")
+    shared = data.draw(st.integers(0, min(p, q)), label="shared columns")
+    rng = np.random.default_rng(seed)
+    gt = sf.make_ground_truth(n, q, np.sort(rng.uniform(0.5, 3.0, q))[::-1], seed=seed)
+    U = np.linalg.qr(np.hstack([gt.U[:, :shared], rng.standard_normal((n, p - shared))]))[0]
+    Q = sf.haar_orthonormal(rng, p, p)
+    pt = sf.FactoredPoint(U, sym(Q @ np.diag(rng.uniform(0.5, 3.0, p)) @ Q.T))
+    scale = frob(pt.dense()) + frob(gt.dense())
+    assert abs(sf.distance_to_target(pt, gt) - frob(pt.dense() - gt.dense())) < 1e-12 * scale
+    assert abs(sf.gradient_norm(pt, gt) - frob(sf.riem_gradient(pt, gt))) < 1e-12 * scale
 
 
 # ------------------------------------------------------------------- hessian

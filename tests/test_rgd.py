@@ -219,7 +219,7 @@ def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
     cfg = sf.GDConfig(alpha=alpha, mode=mode, max_iters=5000)
     alone = [sf.run_rgd(init, gt, cfg) for init in starts]
     assert len({run.iters for run in alone}) > 1   # runs leave the stack at different steps
-    # one block of five runs, then blocks of two (the last one of one run)
+    # one block of five runs, then a block of two and one of three (the tail run joins it)
     for entries in (rgd.BLOCK_ENTRIES, 2 * gt.n * gt.r):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
         for run, ref in zip(run_rgd_batch(starts, gt, cfg), alone, strict=True):
@@ -232,20 +232,24 @@ def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
 
 
 def _observed_escape_runs(monkeypatch):
-    """Five escape runs in blocks of two, and what an observer saw of each."""
+    """Five escape runs in blocks of two and three, and what an observer saw of each."""
     gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=13)
     starts = _escape_starts(gt, 5)
     cfg = sf.GDConfig(alpha=0.2, max_iters=5000)
     monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * gt.n * gt.r)
     seen = {}                                 # start index -> [(k, dist at U, S)]
+    blocks = []                               # the ids of each block at its first step
 
     def observe(k, ids, U, S):
-        assert len({int(i) // 2 for i in ids}) == 1   # the runs of one block
+        if k == 0:
+            blocks.append(ids.tolist())
+        assert set(ids.tolist()) <= set(blocks[-1])   # the runs of one block
         dist = residual_norms(U, S, *factored_blocks(U, gt), gt.d)[0]
         for i, x in zip(ids, dist):
             seen.setdefault(int(i), []).append((k, x))
 
     runs = list(run_rgd_batch(starts, gt, cfg, observe))
+    assert blocks == [[0, 1], [2, 3, 4]]      # a tail of one run joins the last block of two
     return runs, seen, list(run_rgd_batch(starts, gt, cfg))
 
 
@@ -275,12 +279,41 @@ def test_example_limit_distances_do_not_depend_on_blocks(monkeypatch):
     # the single run's column whichever block it descends in
     cfg = ExperimentConfig(scenario="example_1_1", alpha=0.3, repeats=1)
     col = sf.run_experiment(cfg).runs[0].records[:, -1]
-    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * 3 * 2)           # blocks of two
-    report = sf.run_experiment(dataclasses.replace(cfg, repeats=3))
+    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * 3 * 2)           # blocks of two and three
+    report = sf.run_experiment(dataclasses.replace(cfg, repeats=5))
     assert len(col) > 10
     for run in report.runs:
         assert run.columns[-1] == "dist_limit"
         assert np.array_equal(run.records[:, -1], col)
+
+
+@pytest.mark.parametrize("cap, count, sizes", [
+    (8, 10, [10]), (8, 12, [12]), (8, 13, [8, 5]), (8, 17, [8, 9]), (8, 4, [4]),
+    (32, 400, [32] * 11 + [48]), (3, 24, [3] * 8), (3, 7, [3, 4]), (2, 5, [2, 3]),
+    (1, 3, [1, 1, 1]),
+])
+def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, count, sizes):
+    # blocks hold cap = BLOCK_ENTRIES // (n r) runs; a tail of at most cap / 2 runs
+    # steps with the last full block instead of alone.  Lazy starts are built when
+    # their block is taken in, after the previous block has stepped
+    gt = sf.make_ground_truth(4, 1, [1.0], seed=0)
+    rng = np.random.default_rng(1)          # not the target's stream
+    points = [sf.FactoredPoint(sf.haar_orthonormal(rng, 4, 1), np.eye(1)) for _ in range(count)]
+    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", cap * 4)
+    events = []
+
+    def lazy(point):
+        return lambda: events.append("build") or point
+
+    def observe(k, ids, U, S):
+        events.append(len(ids))
+
+    cfg = sf.GDConfig(alpha=0.1, max_iters=1)
+    runs = list(run_rgd_batch([lazy(p) for p in points], gt, cfg, observe))
+    assert [run.iters for run in runs] == [1] * count   # every run stepped once, in its block
+    assert events == [e for size in sizes for e in ["build"] * size + [size]]
+    for run, ref in zip(runs, run_rgd_batch(points, gt, cfg), strict=True):
+        assert np.array_equal(run.records, ref.records)
 
 
 def test_batch_mixes_terminal_statuses():
