@@ -22,8 +22,9 @@ import numpy as np
 from . import __version__
 from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
-from .manifold import FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms
-from .rgd import GDConfig, RgdRun, run_rgd_batch
+from .manifold import (FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms,
+                       target_spectrum)
+from .rgd import GDConfig, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
     _tagged_rng,
@@ -32,7 +33,6 @@ from .spurious import (
     perturb_near,
     sample_spurious_tuple,
     spurious_point,
-    target_spectrum,
 )
 
 SCENARIOS = (
@@ -189,22 +189,12 @@ def _start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> FactoredPoint:
     return _random_point(gt, seed)
 
 
-def _gd_result(run: RgdRun, seed: int) -> RunResult:
-    terminal = {
-        "status": run.status,
-        "iters": run.iters,
-        "dist": run.terminal_dist,
-        "sigma_r": run.terminal_sigma_r,
-        "grad_norm": run.terminal_grad_norm,
-    }
-    return RunResult(seed, run.status, run.records, run.columns, terminal)
-
-
-def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list[RunResult]:
+def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
     """Runs of the configured scenario for the given seeds, against the shared target.
 
     They descend or flow as one batch, which builds the starts as it takes them in.
     """
+    gt = _shared_ground_truth(cfg)
     starts = [partial(_start, cfg, gt, seed) for seed in seeds]
     if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
         runs = _integrate_batch(system, starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
@@ -212,32 +202,29 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int], gt: GroundTruth) -> list
         return [RunResult(seed, status, rows, cols,
                           {"status": status, **dict(zip(cols, map(float, rows[-1])))})
                 for (status, rows, _, _), seed in zip(runs, seeds)]
-    gd = _gd_config(cfg)
-    if cfg.scenario != "example_1_1":
-        return [_gd_result(run, seed) for run, seed in zip(run_rgd_batch(starts, gt, gd), seeds)]
-    dist_limit = [[] for _ in seeds]      # each iterate's distance to the rank-one limit
+    example = cfg.scenario == "example_1_1"
+    dist_limit = [[] for _ in seeds]      # example 1.1: each iterate's distance to its limit
 
     def observe(k, ids, U, S):
         dist = residual_norms(U, S, *factored_blocks(U, _EXAMPLE_LIMIT), _EXAMPLE_LIMIT.d)[0]
         for i, x in zip(ids, dist):
             dist_limit[i].append(x)
 
-    runs = [_gd_result(run, seed) for run, seed in zip(run_rgd_batch(starts, gt, gd, observe), seeds)]
-    for run, col in zip(runs, dist_limit):
-        run.records = np.column_stack([run.records, col])
-        run.columns += ("dist_limit",)
-    return runs
+    results = []
+    runs = run_rgd_batch(starts, gt, _gd_config(cfg), observe if example else None)
+    for run, seed, col in zip(runs, seeds, dist_limit):
+        terminal = {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
+                    "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm}
+        records, columns = run.records, run.columns
+        if example:
+            records, columns = np.column_stack([records, col]), columns + ("dist_limit",)
+        results.append(RunResult(seed, run.status, records, columns, terminal))
+    return results
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Execute one run of the configured scenario with the given seed."""
-    return _run_seeds(cfg, [seed], _shared_ground_truth(cfg))[0]
-
-
-def _run_chunk(args) -> list[RunResult]:
-    text, seeds = args
-    cfg = ExperimentConfig.from_json(text)
-    return _run_seeds(cfg, seeds, _shared_ground_truth(cfg))
+    return _run_seeds(cfg, [seed])[0]
 
 
 def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[dict, int]:
@@ -257,18 +244,21 @@ def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[d
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     """Run all repeats, aggregate pointwise statistics, and emit files.
 
-    Per-run CSVs and the summary pair are written when ``out_dir`` is set.
+    When ``out_dir`` is set it is created before the first run, then receives
+    the per-run CSVs and the summary pair.
     Results are deterministic in ``master_seed`` and independent of
     ``workers``: each pool worker runs a contiguous chunk of the seeds.
     """
     seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
+    if cfg.out_dir is not None:           # a file in the way fails here, not after the runs
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     if cfg.workers > 1:
         size = -(-len(seeds) // cfg.workers)
-        args = [(cfg.to_json(), seeds[i:i + size]) for i in range(0, len(seeds), size)]
+        chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            runs = [run for chunk in pool.map(_run_chunk, args) for run in chunk]
+            runs = [run for chunk in pool.map(partial(_run_seeds, cfg), chunks) for run in chunk]
     else:
-        runs = _run_seeds(cfg, seeds, _shared_ground_truth(cfg))
+        runs = _run_seeds(cfg, seeds)
 
     columns = runs[0].columns
     stats, n_steps = _pointwise_stats(runs, columns)

@@ -299,8 +299,6 @@ class RescaledFlowJacobian:
     """
 
     def __init__(self, tup: SpuriousTuple, gt: GroundTruth):
-        if tup.s != tup.r - 1:
-            raise ValueError("the differentiable extension exists only at rank deficit one")
         self.tup = tup
         self.gt = gt
         self.n, self.r = tup.n, tup.r

@@ -57,11 +57,21 @@ def _freeze(A: np.ndarray) -> np.ndarray:
     return out
 
 
+def target_spectrum(eigenvalues, r: int) -> np.ndarray:
+    """The eigenvalues sorted in decreasing order; raises unless r, finite, positive, distinct."""
+    d = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    if d.shape != (r,):
+        raise ValueError("need exactly r eigenvalues")
+    if not (np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.diff(d) < 0)):
+        raise ValueError("eigenvalues must be finite, positive and pairwise distinct")
+    return d
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """Rank-r SPSD target X = U diag(d) U^T in eigenfactored form.
 
-    ``U`` is n-by-r with orthonormal columns, ``d`` holds r strictly
+    ``U`` is n-by-r with orthonormal columns, ``d`` holds r finite, strictly
     positive, strictly decreasing eigenvalues.  Distinct eigenvalues are
     required; several spectral constructions downstream rely on simple
     eigenvalues.
@@ -73,16 +83,12 @@ class GroundTruth:
     def __post_init__(self):
         U = _freeze(self.U)
         d = _freeze(self.d)
-        if U.ndim != 2 or d.ndim != 1 or U.shape[1] != d.shape[0]:
-            raise ValueError("U must be n-by-r and d of length r")
-        if U.shape[0] < U.shape[1]:
-            raise ValueError("need n >= r")
-        if orth_defect(U) > TAU_ORTH:
+        if U.ndim != 2:
+            raise ValueError("U must be n-by-r")
+        if not orth_defect(U) <= TAU_ORTH:           # also fails for NaN and for n < r
             raise ValueError("U does not have orthonormal columns")
-        if np.any(d <= 0):
-            raise ValueError("eigenvalues must be strictly positive")
-        if np.any(np.diff(d) >= 0):
-            raise ValueError("eigenvalues must be strictly decreasing (and distinct)")
+        if np.any(target_spectrum(d, U.shape[1]) != d):
+            raise ValueError("eigenvalues must be in decreasing order")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "d", d)
 

@@ -23,6 +23,7 @@ from .manifold import (
     frob,
     retract,
     sym,
+    target_spectrum,
 )
 
 
@@ -54,16 +55,6 @@ def make_ground_truth(n: int, r: int, eigenvalues, seed: int) -> GroundTruth:
     """
     d = target_spectrum(eigenvalues, r)
     return GroundTruth(haar_orthonormal(np.random.default_rng(seed), n, r), d)
-
-
-def target_spectrum(eigenvalues, r: int) -> np.ndarray:
-    """The eigenvalues sorted in decreasing order; raises unless r, positive, distinct."""
-    d = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
-    if d.shape != (r,):
-        raise ValueError("need exactly r eigenvalues")
-    if not (np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.diff(d) < 0)):
-        raise ValueError("eigenvalues must be finite, positive and pairwise distinct")
-    return d
 
 
 @dataclass(frozen=True)

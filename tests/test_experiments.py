@@ -1,5 +1,8 @@
+import contextlib
 import dataclasses
+import io
 import json
+import signal
 import tempfile
 from pathlib import Path
 
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import cli, rgd
+from spsdflow import cli, experiments, rgd
 from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, SummaryReport,
                                   _pointwise_stats, _random_point, _shared_ground_truth,
@@ -193,21 +196,34 @@ def _read_csvs(root: Path) -> dict:
 
 def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
     for name, fields in (("descent", {}), ("flow", {"scenario": "flow_rescaled", "t_end": 0.3})):
-        a, b, c = (tmp_path / name / x for x in "abc")
-        sf.run_experiment(small_cfg(repeats=3, out_dir=str(a), **fields))
-        sf.run_experiment(small_cfg(repeats=3, out_dir=str(b), **fields))
+        a, b, c, d = (tmp_path / name / x for x in "abcd")
+        sf.run_experiment(small_cfg(repeats=5, out_dir=str(a), **fields))
+        sf.run_experiment(small_cfg(repeats=5, out_dir=str(b), **fields))
         with monkeypatch.context() as m:
             m.setattr(rgd, "BLOCK_ENTRIES", 24 * 3)          # blocks of one run
-            sf.run_experiment(small_cfg(repeats=3, out_dir=str(c), workers=2, **fields))
-        fa, fb, fc = _read_csvs(a), _read_csvs(b), _read_csvs(c)
-        # identical data regardless of output directory, parallelism degree or blocks
-        assert fa == fb == fc
-        ja = json.loads((a / "summary.json").read_text())
-        jc = json.loads((c / "summary.json").read_text())
-        for j in (ja, jc):
+            sf.run_experiment(small_cfg(repeats=5, out_dir=str(c), workers=2, **fields))
+        sf.run_experiment(small_cfg(repeats=5, out_dir=str(d), workers=3, **fields))  # 2, 2, 1 seeds
+        fa, fb, fc, fd = _read_csvs(a), _read_csvs(b), _read_csvs(c), _read_csvs(d)
+        # identical data regardless of output directory, parallelism degree, chunks or blocks
+        assert fa == fb == fc == fd
+        ja, jc, jd = (json.loads((x / "summary.json").read_text()) for x in (a, c, d))
+        for j in (ja, jc, jd):
             j["config"].pop("out_dir")
             j["config"].pop("workers")
-        assert ja == jc
+        assert ja == jc == jd
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_run_experiment_out_dir_in_the_way_of_a_file_raises_before_any_run(tmp_path,
+                                                                            monkeypatch, below):
+    # the library checks the output directory up front too, not only the CLI
+    (tmp_path / "file").write_text("kept\n")
+    out = tmp_path / "file" / below if below else tmp_path / "file"
+    monkeypatch.setattr(experiments, "_run_seeds", lambda cfg, seeds: pytest.fail("a run started"))
+    with pytest.raises(OSError):
+        sf.run_experiment(ExperimentConfig(scenario="global_fixed", n=12, r=2, repeats=3,
+                                           out_dir=str(out)))
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
@@ -330,6 +346,42 @@ def test_cli_out_dir_in_the_way_of_a_file_exits_2_before_any_run(tmp_path, capsy
     err = capsys.readouterr().err
     assert "configuration error" in err and str(out) in err
     assert (tmp_path / "file").read_text() == "kept\n"
+
+
+_FLOATS = ["nan", "inf", "-inf", "-1", "0", "0.05", "0.5", "3"]
+_CLI_VALUES = {
+    "--n": ["-1", "0", "2", "6", "2.5"], "--r": ["-1", "0", "1", "2", "3"],
+    "--repeats": ["-1", "0", "1", "3"], "--max-iters": ["-1", "0", "50"],
+    "--seed": ["-1", "0", "7"], "--workers": ["0", "1"], "--mode": ["fixed", "varying", "x"],
+    "--eigenvalues": ["", ",", "a", "2,1", "1,2", "1,1", "nan,1", "inf,1", "-1,2", "3,2,1"],
+    **{flag: _FLOATS for flag in ("--alpha", "--epsilon", "--tol-dist", "--dt", "--t-end")},
+}
+
+
+class _Hang(BaseException):
+    """Raised by the alarm; not an Exception, so the CLI cannot report it as an exit code."""
+
+
+def _hang(signum, frame):
+    raise _Hang
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(command=st.sampled_from([name.replace("_", "-") for name in SCENARIOS]),
+       flags=st.lists(st.sampled_from(sorted(_CLI_VALUES)).flatmap(
+           lambda f: st.sampled_from(_CLI_VALUES[f]).map(lambda v: f"{f}={v}")), max_size=5))
+def test_cli_exits_0_2_or_3_and_terminates(command, flags):
+    # small runs by default; a later flag overrides an earlier one
+    argv = [command, "--n=6", "--r=2", "--repeats=2", "--max-iters=50", "--dt=0.05",
+            "--t-end=0.3"] + flags
+    previous = signal.signal(signal.SIGALRM, _hang)
+    signal.alarm(20)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (0, 2, 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("fields", [

@@ -293,6 +293,11 @@ def test_ground_truth_validation():
         sf.GroundTruth(np.eye(3)[:, :2], np.array([1.0, 2.0]))   # wrong order
     with pytest.raises(ValueError):
         sf.GroundTruth(np.ones((3, 2)), np.array([2.0, 1.0]))    # not orthonormal
+    for d in ([np.nan, 1.0], [np.inf, 1.0]):                          # not finite
+        with pytest.raises(ValueError):
+            sf.GroundTruth(np.eye(3)[:, :2], np.array(d))
+    with pytest.raises(ValueError):
+        sf.GroundTruth(np.where(np.eye(3)[:, :2] == 0, np.nan, 1.0), np.array([2.0, 1.0]))
 
 
 def test_factored_point_validation_and_immutability():
