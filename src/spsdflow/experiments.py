@@ -175,18 +175,20 @@ def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
     return FactoredPoint(U, np.diag(lam))
 
 
-def _start(cfg: ExperimentConfig, gt: GroundTruth, seed: int) -> FactoredPoint:
-    """The seeded start of a run (its factors only)."""
+def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]) -> list:
+    """Each seed's start, built when its block takes it in; an escape's point and radius once."""
     if cfg.scenario == "example_1_1":
-        return _EXAMPLE_START
-    rng = np.random.default_rng(seed)
-    if deficit := _ESCAPE_DEFICIT.get(cfg.scenario):
-        mask = [True] * (cfg.r - deficit) + [False] * deficit
-        sp = spurious_point(gt, mask)
+        return [_EXAMPLE_START] * len(seeds)
+    if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
+        return [partial(_random_point, gt, seed) for seed in seeds]
+    sp = spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
+    radius = cfg.epsilon * frob(sp.dense())
+
+    def start(seed):
+        rng = np.random.default_rng(seed)
         tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))
-        radius = cfg.epsilon * frob(sp.dense())
         return perturb_near(tup, radius, seed=int(rng.integers(2**63)))
-    return _random_point(gt, seed)
+    return [partial(start, seed) for seed in seeds]
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
@@ -195,7 +197,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
     They descend or flow as one batch, which builds the starts as it takes them in.
     """
     gt = _shared_ground_truth(cfg)
-    starts = [partial(_start, cfg, gt, seed) for seed in seeds]
+    starts = _starts(cfg, gt, seeds)
     if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
         runs = _integrate_batch(system, starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
         cols = FlowResult.columns

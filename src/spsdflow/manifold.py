@@ -321,7 +321,8 @@ class TangentParam:
 
     The ambient form is xi = U M U^T + U N U_perp^T + U_perp N^T U^T, which
     is symmetric for symmetric M.  The coordinate count r(r+1)/2 + r(n-r)
-    equals the manifold dimension.
+    equals the manifold dimension.  Stacked blocks (..., r, r) and
+    (..., r, n - r) hold a stack of tangent vectors, each bit for bit its own.
     """
 
     M: np.ndarray
@@ -332,7 +333,7 @@ class TangentParam:
         r, n = self.frame.r, self.frame.n
         M = sym(np.array(self.M, dtype=float))
         N = np.array(self.N, dtype=float)
-        if M.shape != (r, r) or N.shape != (r, n - r):
+        if M.shape[-2:] != (r, r) or N.shape != M.shape[:-2] + (r, n - r):
             raise ValueError("coordinate blocks have wrong shapes")
         object.__setattr__(self, "M", _freeze(M))
         object.__setattr__(self, "N", _freeze(N))
@@ -340,11 +341,11 @@ class TangentParam:
     def to_ambient(self) -> np.ndarray:
         U, Up = self.frame.U, self.frame.U_perp
         cross = U @ self.N @ Up.T
-        return sym(U @ self.M @ U.T + cross + cross.T)
+        return sym(U @ self.M @ U.T + cross + mT(cross))
 
     @classmethod
     def from_ambient(cls, frame: EigenFrame, xi: np.ndarray) -> "TangentParam":
-        """Tangent coordinates of an ambient symmetric matrix (projects)."""
+        """Tangent coordinates of an ambient symmetric matrix or a stack (projects)."""
         xi = sym(np.asarray(xi, dtype=float))
         M = sym(frame.U.T @ xi @ frame.U)
         N = frame.U.T @ xi @ frame.U_perp

@@ -31,6 +31,7 @@ from .manifold import (
     complement_basis,
     factored_blocks,
     inner,
+    manifold_dim,
     mT,
     residual_norms,
     retract,  # noqa: F401 - perfbench/tracer.py wraps rgd.retract
@@ -253,24 +254,25 @@ def tangent_coordinate_basis(frame: EigenFrame) -> list[TangentParam]:
     triangle as E_ij + E_ji) followed by the N-block entries in row-major
     order; :func:`tangent_coordinates` inverts the enumeration.
     """
-    dim = frame.r * (frame.r + 1) // 2 + frame.r * (frame.n - frame.r)
+    dim = manifold_dim(frame.n, frame.n, frame.r, hermitian=True)
     return [_from_coordinates(frame, e) for e in np.eye(dim)]
 
 
 def tangent_coordinates(xi: TangentParam) -> np.ndarray:
-    """Coordinates of a tangent vector in the :func:`tangent_coordinate_basis` order."""
-    r = xi.frame.r
-    diag = np.diag(xi.M)
-    upper = xi.M[np.triu_indices(r, k=1)]
-    return np.concatenate([diag, upper, xi.N.ravel()])
+    """Coordinates in :func:`tangent_coordinate_basis` order, one row per vector of a stack."""
+    i, j = np.triu_indices(xi.frame.r, k=1)
+    N = xi.N.reshape(xi.N.shape[:-2] + (-1,))
+    return np.concatenate([np.diagonal(xi.M, axis1=-2, axis2=-1), xi.M[..., i, j], N], axis=-1)
 
 
 def _from_coordinates(frame: EigenFrame, c: np.ndarray) -> TangentParam:
-    """The tangent vector with coordinates ``c`` (inverse of :func:`tangent_coordinates`)."""
+    """Inverse of :func:`tangent_coordinates`; rows of ``c`` give a stack of tangent vectors."""
     r, m = frame.r, frame.r * (frame.r + 1) // 2
-    M = np.diag(c[:r])
-    M[np.triu_indices(r, k=1)] = c[r:m]
-    return TangentParam(M + np.triu(M, 1).T, c[m:].reshape(r, frame.n - r), frame)
+    M = np.zeros(c.shape[:-1] + (r, r))
+    M[..., range(r), range(r)] = c[..., :r]
+    M[(...,) + np.triu_indices(r, k=1)] = c[..., r:m]
+    N = c[..., m:].reshape(c.shape[:-1] + (r, frame.n - r))
+    return TangentParam(M + mT(np.triu(M, 1)), N, frame)
 
 
 def boundary_frame(tup: SpuriousTuple) -> EigenFrame:
@@ -337,11 +339,8 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     d_miss = float(tup.point.d_miss[0])
     w = frame.U_perp.T @ tup.point.U_miss      # missing eigenvector in the complement
     K = (w * d_miss) @ w.T                     # Up^T X_m Up
-    E = np.zeros((r, r))
-    E[-1, -1] = 1.0                            # e e^T, e the null slot of the core
-    m = r * (r + 1) // 2
-    mat = np.eye(m + r * (n - r))
-    mat[m:, m:] += alpha * np.kron(E, K.T)
+    mat = np.eye(manifold_dim(n, n, r, hermitian=True))
+    mat[-(n - r):, -(n - r):] += alpha * K.T   # kron(e e^T, K^T), e the core's null slot (last)
 
     eig = np.sort(np.linalg.eigvals(mat).real)[::-1]
     return IterationJacobianReport(
@@ -366,7 +365,9 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     and :func:`rgd_step`'s arithmetic, in stacks of at most
     ``BLOCK_ENTRIES // n**2`` columns, and are expressed in the tangent
     coordinates of :func:`iteration_jacobian` (the eigen-frame that the
-    tuple and Z(eps) share).
+    tuple and Z(eps) share).  Each stack's directions are built from its
+    coordinate rows in one call, and its differences are converted back to
+    coordinates in one call.
     """
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
@@ -379,9 +380,11 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
         return sym(U @ S @ mT(U))
 
-    directions = (xi.to_ambient() for xi in tangent_coordinate_basis(frame))
+    basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))
+    stack = max(1, BLOCK_ENTRIES // tup.n**2)
     cols = []
-    while block := list(islice(directions, max(1, BLOCK_ENTRIES // frame.n**2))):
-        diff = fd_directional(step_dense, Z0, np.stack(block), h)
-        cols += [tangent_coordinates(TangentParam.from_ambient(frame, d)) for d in diff]
-    return np.array(cols).T
+    for lo in range(0, len(basis), stack):
+        directions = _from_coordinates(frame, basis[lo:lo + stack]).to_ambient()
+        diff = fd_directional(step_dense, Z0, directions, h)
+        cols.append(tangent_coordinates(TangentParam.from_ambient(frame, diff)))
+    return np.concatenate(cols).T

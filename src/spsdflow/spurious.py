@@ -28,7 +28,9 @@ from .manifold import (
 
 
 def haar_orthonormal(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
-    """Haar-distributed n-by-m orthonormal columns via sign-fixed QR."""
+    """Haar-distributed n-by-m orthonormal columns via sign-fixed QR (m defaults to n)."""
+    if m is not None and m > n:
+        raise ValueError("R^n holds at most n orthonormal columns")
     return _sign_fixed_qr(rng.standard_normal((n, n if m is None else m)))
 
 

@@ -453,6 +453,25 @@ def test_tangent_coordinates_invert_the_basis(n, r):
         np.testing.assert_array_equal(sf.tangent_coordinates(b), np.eye(len(basis))[i])
 
 
+@pytest.mark.parametrize("n, r", [(8, 3), (12, 1), (40, 5)])
+@pytest.mark.parametrize("k", [1, 7])
+def test_stacked_tangent_conversions_equal_the_per_vector_path_bitwise(n, r, k):
+    # r = 1 leaves the strict upper triangle of M empty
+    gt = sf.make_ground_truth(n, r, list(range(r, 0, -1)), seed=20)
+    frame = sf.eigen_frame(sf.FactoredPoint(gt.U, np.diag(gt.d)))
+    rng = np.random.default_rng(n + k)
+    amb = sym(rng.standard_normal((k, n, n)))
+    coords = sf.tangent_coordinates(sf.TangentParam.from_ambient(frame, amb))
+    single = [sf.tangent_coordinates(sf.TangentParam.from_ambient(frame, x)) for x in amb]
+    assert coords.shape == (k, sf.manifold_dim(n, n, r, "real", hermitian=True))
+    assert coords.tobytes() == np.array(single).tobytes()
+    c = rng.standard_normal(coords.shape)
+    xi = rgd._from_coordinates(frame, c)
+    single = [rgd._from_coordinates(frame, row).to_ambient() for row in c]
+    assert xi.to_ambient().tobytes() == np.array(single).tobytes()
+    assert sf.tangent_coordinates(xi).tobytes() == c.tobytes()
+
+
 def test_iteration_jacobian_rejects_deeper_deficit():
     gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=11)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False, False]), gt, 0)

@@ -16,6 +16,16 @@ def test_make_ground_truth_deterministic():
     assert not np.array_equal(a.U, c.U)
 
 
+def test_haar_orthonormal_shapes_and_rejects_more_columns_than_rows():
+    rng = np.random.default_rng(0)
+    assert sf.haar_orthonormal(rng, 5, 3).shape == (5, 3)
+    assert sf.haar_orthonormal(rng, 3).shape == (3, 3)
+    Q = sf.haar_orthonormal(rng, 4, 4)
+    assert frob(Q.T @ Q - np.eye(4)) <= 1e-12
+    with pytest.raises(ValueError):
+        sf.haar_orthonormal(rng, 3, 5)
+
+
 def test_make_ground_truth_orthonormal_large():
     gt = sf.make_ground_truth(100, 5, [5, 4, 3, 2, 1], seed=0)
     assert frob(gt.U.T @ gt.U - np.eye(5)) < 1e-12
