@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -255,6 +254,7 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     if cfg.out_dir is not None:           # a file in the way fails here, not after the runs
         Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     if cfg.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor   # pulls in multiprocessing: import on use
         size = -(-len(seeds) // cfg.workers)
         chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:

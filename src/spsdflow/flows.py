@@ -24,9 +24,11 @@ from .manifold import (
     FactoredPoint,
     GroundTruth,
     TAU_ORTH,
+    TAU_RANK,
     factored_blocks,
     frob,
     mT,
+    relative_spectrum,
     sym,
 )
 from .rgd import _reorthonormalize, _run_blocks
@@ -106,7 +108,7 @@ class FlowResult:
 
 
 def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
-                   singular_tol: float = 1e-12) -> np.ndarray:
+                   singular_tol: float = TAU_RANK) -> np.ndarray:
     """The matrix S^-1 * sigma_min(S), extended continuously to singular S.
 
     In the eigenbasis the entries are sigma_min / sigma_i, which stay finite
@@ -119,15 +121,14 @@ def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
     return _scaled_inverse(sym(np.asarray(S, dtype=float)), gap_tol, singular_tol)[0]
 
 
-def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=1e-12
+def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=TAU_RANK
                     ) -> tuple[np.ndarray, np.ndarray]:
     """:func:`scaled_inverse` and sigma_min(S) from one eigh, per core of a stack."""
     w, P = np.linalg.eigh(S)               # ascending
-    scale = np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
-    vanishing = np.abs(w) <= singular_tol * scale
-    if (vanishing[..., :1] & (np.abs(w[..., 1:2]) <= gap_tol * scale)).any():
+    size = np.abs(relative_spectrum(w))
+    if ((size[..., :1] <= singular_tol) & (size[..., 1:2] <= gap_tol)).any():
         raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
-    if vanishing[..., 1:].any():
+    if (size[..., 1:] <= singular_tol).any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; inverse undefined")
     ratios = np.ones_like(w)               # sigma_min / sigma_min, exact
     ratios[..., 1:] = w[..., :1] / w[..., 1:]
@@ -136,7 +137,7 @@ def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=1e-12
 
 def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
                             gap_tol: float = 1e-8,
-                            singular_tol: float = 1e-12) -> np.ndarray:
+                            singular_tol: float = TAU_RANK) -> np.ndarray:
     """Directional derivative of :func:`scaled_inverse` along ``direction``.
 
     For nonsingular S this equals
@@ -161,10 +162,10 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
     if D.shape != S.shape:
         raise ValueError("direction has wrong shape")
     w, P = np.linalg.eigh(S)
-    scale = max(1.0, float(np.abs(w).max()))
-    if (np.diff(w) <= gap_tol * scale).any():
+    rel = relative_spectrum(w)
+    if (np.diff(rel) <= gap_tol).any():
         raise EigenGapError("eigenvalues are not well separated")
-    if (np.abs(w[1:]) <= singular_tol * scale).any():
+    if (np.abs(rel[1:]) <= singular_tol).any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; derivative undefined")
     C = P.T @ D @ P
     K = np.zeros_like(C)                   # at r = 1 every slice below is empty

@@ -17,6 +17,8 @@ import numpy as np
 TAU_ORTH = 1e-10
 # Gradient norm below which a point is treated as stationary.
 TAU_GRAD = 1e-8
+# Relative size (see relative_spectrum) at or below which a value counts as zero.
+TAU_RANK = 1e-12
 
 
 def mT(A: np.ndarray) -> np.ndarray:
@@ -38,6 +40,11 @@ def inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     k = X.shape[-2] * X.shape[-1]
     return (X.reshape(X.shape[:-2] + (1, k)) @ Y.reshape(Y.shape[:-2] + (k, 1)))[..., 0, 0]
+
+
+def relative_spectrum(w: np.ndarray) -> np.ndarray:
+    """Values over max(1, max|w|) along the last axis, signs kept, per vector of a stack."""
+    return w / np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
 
 
 def frob(A: np.ndarray) -> float:
@@ -151,10 +158,9 @@ class FactoredPoint:
         """Smallest eigenvalue of the core S (equals the r-th eigenvalue of Z)."""
         return float(np.linalg.eigvalsh(self.S)[0])
 
-    def in_manifold(self, tol: float = 1e-12) -> bool:
+    def in_manifold(self, tol: float = TAU_RANK) -> bool:
         """True when the represented matrix has full rank r."""
-        w = np.linalg.eigvalsh(self.S)
-        return bool(np.abs(w).min() > tol * max(1.0, np.abs(w).max()))
+        return bool(np.abs(relative_spectrum(np.linalg.eigvalsh(self.S))).min() > tol)
 
 
 def factored_blocks(U: np.ndarray, gt: GroundTruth
@@ -237,23 +243,23 @@ class RetractionResult(NamedTuple):
     rank_deficient: bool
 
 
-def truncate(w: np.ndarray, V: np.ndarray, r: int, rank_tol: float = 1e-12) -> tuple:
+def truncate(w: np.ndarray, V: np.ndarray, r: int, rank_tol: float = TAU_RANK) -> tuple:
     """Keep the r largest pairs of an ascending ``eigh`` (one matrix or a stack), largest first.
 
     Returns (V_r, kept, deficient): a view of V, the values clamped at +0.0, and whether the
-    smallest kept value is at most ``rank_tol * max(1, max|w|)``.
+    r-th largest value's entry of ``relative_spectrum(w)`` is at most ``rank_tol`` (or negative).
     """
     kept = np.maximum(w[..., ::-1][..., :r], 0.0)
-    deficient = kept[..., -1] <= rank_tol * np.maximum(1.0, np.abs(w).max(axis=-1))
+    deficient = relative_spectrum(w)[..., -r] <= rank_tol
     return V[..., ::-1][..., :r], kept, deficient
 
 
-def retract(W: np.ndarray, r: int, rank_tol: float = 1e-12) -> RetractionResult:
+def retract(W: np.ndarray, r: int, rank_tol: float = TAU_RANK) -> RetractionResult:
     """Best Frobenius rank-<=r SPSD approximation of a symmetric matrix.
 
-    Eigendecomposes W and applies :func:`truncate`.  The stored core of the
-    result is diagonal.  ``rank_deficient`` reports whether fewer than r
-    retained eigenvalues are positive (the minimizer then leaves the rank-r
+    Eigendecomposes W and applies :func:`truncate`; the stored core is diagonal.
+    ``rank_deficient`` is truncate's :func:`relative_spectrum` test: fewer than
+    r retained eigenvalues are positive (the minimizer then leaves the rank-r
     manifold; ties at zero are broken by the eigensolver's ordering).
     """
     W = sym(np.asarray(W, dtype=float))
@@ -376,7 +382,7 @@ def riem_hessian_apply(point: FactoredPoint, gt: GroundTruth,
     elif frob(xi.frame.U - frame.U) > 1e-8:
         raise ValueError("tangent vector expressed in a different frame")
     sigma = frame.sigma
-    if np.abs(sigma).min() <= 1e-12 * max(1.0, np.abs(sigma).max()):
+    if np.abs(relative_spectrum(sigma)).min() <= TAU_RANK:
         raise ValueError("singular core: Hessian is not defined on the manifold boundary")
     G = point.dense() - gt.dense()
     W = frame.U_perp @ (xi.N.T / sigma[None, :])   # U_perp N^T Sigma^-1, n x r

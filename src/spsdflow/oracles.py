@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import sym
+from .manifold import TAU_RANK, relative_spectrum, sym
 
 
 class SeparationError(ValueError):
@@ -41,8 +41,10 @@ def fd_directional(fun, x, direction, h: float):
     ``x`` and ``direction`` may be single arrays or tuples of arrays (for
     functions of several matrix arguments); the output mirrors the structure
     of ``fun``'s value.  O(h^2) accurate for twice-differentiable maps, and
-    exact for linear ones.
+    exact for linear ones.  ``h`` must be positive and finite.
     """
+    if not 0 < h < np.inf:
+        raise ValueError("step size h must be positive and finite")
     fp, fm = (fun(_leafwise(lambda xi, di: xi + a * di, x, direction)) for a in (h, -h))
     return _leafwise(lambda p, m: (p - m) / (2.0 * h), fp, fm)
 
@@ -63,10 +65,10 @@ def fd_report(fun, x, direction, reference, hs) -> FDReport:
     """Compare central differences at several step sizes against a reference.
 
     The observed order is the least-squares slope of log error against
-    log h; at least three step sizes are required for the fit.
+    log h; at least three distinct step sizes are required for the fit.
     """
     hs = tuple(sorted((float(h) for h in hs), reverse=True))
-    if len(hs) < 3:
+    if len(set(hs)) < 3:
         raise ValueError("need at least three step sizes to estimate the order")
     errors = []
     for h in hs:
@@ -108,8 +110,8 @@ def eig_min_derivative(S: np.ndarray, dS: np.ndarray, gap_tol: float = 1e-8
     if dS.shape != S.shape:
         raise ValueError("dS has wrong shape")
     w, P = np.linalg.eigh(S)
-    scale = max(1.0, float(np.abs(w).max()))
-    cluster = np.flatnonzero(w - w[0] <= gap_tol * scale)
+    rel = relative_spectrum(w)
+    cluster = np.flatnonzero(rel - rel[0] <= gap_tol)
     E = P[:, cluster]
     value = float(np.trace(E.T @ dS @ E))
     mode = "simple" if cluster.size == 1 else "cluster"
@@ -187,7 +189,7 @@ def stiefel_chart(U: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     Q1, Q2 = Q[:k, :], Q[k:, :]
     Msum = U1 + Q1
     svals = np.linalg.svd(Msum, compute_uv=False)
-    if svals[-1] <= 1e-12 * max(1.0, svals[0]):
+    if relative_spectrum(svals)[-1] <= TAU_RANK:
         raise ChartDomainError("U1 + Q1 is numerically singular; point outside the chart")
     # The middle factor is (Q1^T U1 + U2^T Q2) minus its own transpose, so
     # the sandwich is evaluated once and antisymmetrized: exactly skew in

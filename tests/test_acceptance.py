@@ -404,10 +404,11 @@ def test_criterion_13_hessian_blows_down_near_the_boundary():
         for xi in sf.tangent_coordinate_basis(frame):
             amb = xi.to_ambient()
             basis.append(amb / frob(amb))
+        flat = np.reshape(basis, (len(basis), -1))     # <b_i, Hb> for every i in one product
         H = np.empty((len(basis), len(basis)))
         for j, b in enumerate(basis):
             Hb = sf.riem_hessian_apply(point, gt, b, frame=frame)
-            H[:, j] = [np.sum(Hb * bi) for bi in basis]
+            H[:, j] = flat @ Hb.ravel()
         mins.append(float(np.linalg.eigvalsh(sym(H))[0]))
     monotone = all(a > b for a, b in zip(mins, mins[1:]))
     ok = monotone and mins[-1] <= -1e3

@@ -2,7 +2,10 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import signal
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -211,6 +214,16 @@ def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
             j["config"].pop("out_dir")
             j["config"].pop("workers")
         assert ja == jc == jd
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    # only workers > 1 starts a pool; every other run should not pay for importing one
+    src = str(Path(sf.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, spsdflow; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow.manifold import frob, sym
+from spsdflow.flows import ExtensionError, _scaled_inverse
+from spsdflow.manifold import TAU_RANK, frob, relative_spectrum, sym, truncate
+from spsdflow.oracles import ChartDomainError
 
 
 def random_point(rng, n, r, spectrum=None):
@@ -121,6 +123,37 @@ def test_retract_flags_rank_deficiency():
     res = sf.retract(np.diag([3.0, -1.0, -2.0]), 2)
     assert res.rank_deficient
     assert frob(res.point.dense() - np.diag([3.0, 0.0, 0.0])) < 1e-14
+
+
+# ------------------------------------------------------------ relative rank
+
+@pytest.mark.parametrize("w,expected", [
+    ([[1.0, -4.0, 2.0], [0.5, 0.25, -0.125]], [[0.25, -1.0, 0.5], [0.5, 0.25, -0.125]]),  # stack
+    ([1e-3, -2e-3, 0.0], [1e-3, -2e-3, 0.0]),      # max|w| below 1: divided by 1
+    ([-8.0, 2.0], [-1.0, 0.25]),                   # the largest magnitude may be negative
+    ([-3.0], [-1.0]),                              # a single value
+])
+def test_relative_spectrum(w, expected):
+    assert np.array_equal(relative_spectrum(np.array(w)), np.array(expected))
+
+
+def test_relative_rank_decisions_are_exact_at_the_tolerance():
+    # Spectra with max|w| <= 1 have scale 1, so each decision falls exactly at TAU_RANK:
+    # inclusive (<=) for deficiency and vanishing, strict (>) for in_manifold.
+    up = np.nextafter(TAU_RANK, 1.0)
+    deficient = truncate(np.array([[TAU_RANK, 0.5, 1.0], [up, 0.5, 1.0]]), np.eye(3), 3)[2]
+    assert deficient.tolist() == [True, False]
+    assert not sf.FactoredPoint(np.eye(3)[:, :2], np.diag([TAU_RANK, 0.5])).in_manifold()
+    assert sf.FactoredPoint(np.eye(3)[:, :2], np.diag([up, 0.5])).in_manifold()
+    for w, message in (([TAU_RANK, 1e-8, 1.0], "not simple"), ([-0.5, TAU_RANK, 1.0], "non-minimal")):
+        with pytest.raises(ExtensionError, match=message):
+            _scaled_inverse(np.diag(w))
+        _scaled_inverse(np.diag([up if x == TAU_RANK else x for x in w]))
+    Q = np.eye(4)[:, [0, 2]]
+    U = lambda s: np.array([[-0.5, 0.0], [0.0, s], [np.sqrt(0.75), 0.0], [0.0, 1.0]])
+    with pytest.raises(ChartDomainError):           # U1 + Q1 = diag(0.5, s)
+        sf.stiefel_chart(U(TAU_RANK), Q)
+    sf.stiefel_chart(U(up), Q)
 
 
 # ------------------------------------------------------------------ gradient

@@ -42,8 +42,12 @@ def test_fd_report_order_two_on_smooth_map():
 
 
 def test_fd_report_needs_three_steps():
+    # Too few steps, a repeated step, and steps that are not positive and finite.
+    for hs in ([1e-2, 1e-3], [1e-2] * 3, [1e-2, 1e-3, 0.0], [1e-2, 1e-3, np.nan]):
+        with pytest.raises(ValueError):
+            sf.fd_report(lambda v: v, np.zeros(2), np.ones(2), np.ones(2), hs=hs)
     with pytest.raises(ValueError):
-        sf.fd_report(lambda v: v, np.zeros(2), np.ones(2), np.ones(2), hs=[1e-2, 1e-3])
+        sf.fd_directional(lambda v: v, np.zeros(2), np.ones(2), np.nan)
 
 
 def test_fd_confirms_boundary_escape_eigenvalue():
