@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -96,7 +97,7 @@ class StepControls:
 class FlowResult:
     records: np.ndarray          # columns: t, dist, sigma_r, grad_norm
     status: str
-    columns: tuple[str, ...] = ("t", "dist", "sigma_r", "grad_norm")
+    columns: ClassVar[tuple[str, ...]] = ("t", "dist", "sigma_r", "grad_norm")
     _init: FactoredPoint | None = field(default=None, repr=False)
     _factors: list = field(default_factory=list, repr=False)    # (U, S) after each step
 
@@ -186,16 +187,15 @@ def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None =
                ) -> tuple[np.ndarray, np.ndarray]:
     """Plain right-hand side on raw factors (stacks give stacks), from U's blocks ``AB`` if set."""
     A, B = AB or factored_blocks(U, gt)[:2]
-    if (np.linalg.eigvalsh(sym(S))[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
+    if (np.linalg.eigvalsh(S)[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
-    dU = mT(np.linalg.solve(sym(S), mT(B)))
-    return dU, A - sym(S)
+    dU = mT(np.linalg.solve(S, mT(B)))
+    return dU, A - S
 
 
 def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled right-hand side on raw factors, as :func:`_raw_plain`; tolerates a singular core."""
-    S = sym(S)
     A, B = AB or factored_blocks(U, gt)[:2]
     phi, smin = _scaled_inverse(S)
     return B @ phi, (A - S) * smin[..., None, None]
@@ -264,7 +264,8 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
         kU3, kS3 = rhs(U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
         kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
-        S = sym(S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4))
+        # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
+        S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
         drift = _reorthonormalize(U, S, TAU_ORTH)
         if (drift > ctl.max_drift).any():
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
@@ -282,7 +283,6 @@ class SpectrumReport:
     escape_eigenvalue: float
     escape_residual: float
     n_positive: int
-    positive_tol: float
 
 
 class RescaledFlowJacobian:
@@ -346,7 +346,6 @@ class RescaledFlowJacobian:
             escape_eigenvalue=d_miss,
             escape_residual=float(resid),
             n_positive=int(np.sum(eig.real > positive_tol)),
-            positive_tol=positive_tol,
         )
 
 

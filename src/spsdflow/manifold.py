@@ -52,10 +52,10 @@ def frob(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def orth_defect(U: np.ndarray) -> float:
-    """Frobenius distance of U^T U from the identity."""
-    r = U.shape[1]
-    return frob(U.T @ U - np.eye(r))
+def orth_defect(U: np.ndarray) -> np.ndarray:
+    """Frobenius distance of U^T U from the identity, per matrix of a stack (NaN stays NaN)."""
+    G = mT(U) @ U - np.eye(U.shape[-1])
+    return np.sqrt(inner(G, G))
 
 
 def _freeze(A: np.ndarray) -> np.ndarray:
@@ -74,8 +74,20 @@ def target_spectrum(eigenvalues, r: int) -> np.ndarray:
     return d
 
 
+class _Columns:
+    """Shape of a record whose ``U`` is n-by-r."""
+
+    @property
+    def n(self) -> int:
+        return self.U.shape[0]
+
+    @property
+    def r(self) -> int:
+        return self.U.shape[1]
+
+
 @dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(_Columns):
     """Rank-r SPSD target X = U diag(d) U^T in eigenfactored form.
 
     ``U`` is n-by-r with orthonormal columns, ``d`` holds r finite, strictly
@@ -100,14 +112,6 @@ class GroundTruth:
         object.__setattr__(self, "d", d)
 
     @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.U.shape[1]
-
-    @property
     def sigma_r(self) -> float:
         """Smallest retained eigenvalue of the target."""
         return float(self.d[-1])
@@ -122,7 +126,7 @@ class GroundTruth:
 
 
 @dataclass(frozen=True)
-class FactoredPoint:
+class FactoredPoint(_Columns):
     """Candidate point Z = U S U^T with orthonormal U and symmetric S.
 
     Membership in the rank-r manifold additionally requires S to be
@@ -138,18 +142,12 @@ class FactoredPoint:
         S = sym(np.array(self.S, dtype=float))
         if U.ndim != 2 or S.shape != (U.shape[1], U.shape[1]):
             raise ValueError("U must be n-by-r and S r-by-r")
-        if orth_defect(U) > TAU_ORTH:
+        if not orth_defect(U) <= TAU_ORTH:           # also fails for NaN
             raise ValueError("U does not have orthonormal columns")
+        if not np.isfinite(S).all():
+            raise ValueError("S must be finite")
         object.__setattr__(self, "U", _freeze(U))
         object.__setattr__(self, "S", _freeze(S))
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.U.shape[1]
 
     def dense(self) -> np.ndarray:
         return sym(self.U @ self.S @ self.U.T)
@@ -278,7 +276,7 @@ def riem_gradient(point: FactoredPoint, gt: GroundTruth) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EigenFrame:
+class EigenFrame(_Columns):
     """Eigenbasis of a point: Z = U diag(sigma) U^T with sigma descending.
 
     ``U_perp`` is an orthonormal basis of the complement of col(U); tangent
@@ -288,14 +286,6 @@ class EigenFrame:
     U: np.ndarray
     sigma: np.ndarray
     U_perp: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.U.shape[1]
 
 
 def complement_basis(U: np.ndarray, leading: np.ndarray | None = None) -> np.ndarray:
@@ -307,8 +297,8 @@ def complement_basis(U: np.ndarray, leading: np.ndarray | None = None) -> np.nda
     n, r = U.shape
     cols = [U] if leading is None else [U, leading]
     M = np.hstack(cols)
-    if orth_defect(M) > 1e-8:
-        raise ValueError("leading columns must be orthonormal and orthogonal to U")
+    if not orth_defect(M) <= 1e-8:                 # also fails for NaN
+        raise ValueError("U and the leading columns must be orthonormal and mutually orthogonal")
     Q = np.linalg.qr(M, mode="complete")[0]
     rest = Q[:, M.shape[1]:]
     return rest if leading is None else np.hstack([leading, rest])
@@ -353,7 +343,7 @@ class TangentParam:
     def from_ambient(cls, frame: EigenFrame, xi: np.ndarray) -> "TangentParam":
         """Tangent coordinates of an ambient symmetric matrix or a stack (projects)."""
         xi = sym(np.asarray(xi, dtype=float))
-        M = sym(frame.U.T @ xi @ frame.U)
+        M = frame.U.T @ xi @ frame.U         # symmetrized by the constructor
         N = frame.U.T @ xi @ frame.U_perp
         return cls(M, N, frame)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import TAU_RANK, relative_spectrum, sym
+from .manifold import TAU_ORTH, TAU_RANK, orth_defect, relative_spectrum, sym
 
 
 class SeparationError(ValueError):
@@ -180,11 +180,9 @@ def stiefel_chart(U: np.ndarray, Q: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     """
     U = np.asarray(U, dtype=float)
     Q = np.asarray(Q, dtype=float)
-    if U.shape != Q.shape or U.ndim != 2:
+    if U.shape != Q.shape or U.ndim != 2 or not orth_defect(np.stack([U, Q])).max() <= TAU_ORTH:
         raise ValueError("U and Q must be orthonormal blocks of identical shape")
-    n, k = U.shape
-    if n < k:
-        raise ValueError("need n >= k")
+    n, k = U.shape                                     # n >= k, as U is orthonormal
     U1, U2 = U[:k, :], U[k:, :]
     Q1, Q2 = Q[:k, :], Q[k:, :]
     Msum = U1 + Q1

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable, Collection, Iterator
+from typing import Callable, ClassVar, Collection, Iterator
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .manifold import (
     TangentParam,
     complement_basis,
     factored_blocks,
-    inner,
     manifold_dim,
     mT,
+    orth_defect,
     residual_norms,
     retract,  # noqa: F401 - perfbench/tracer.py wraps rgd.retract
     sym,
@@ -110,8 +110,7 @@ def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
 
 def _reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
     """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
-    G = mT(U) @ U - np.eye(U.shape[-1])
-    drift = np.sqrt(inner(G, G))
+    drift = orth_defect(U)
     redo = drift > tol
     if redo.any():
         U[redo], R = np.linalg.qr(U[redo])
@@ -149,7 +148,7 @@ class RgdRun:
     terminal_dist: float
     terminal_sigma_r: float
     terminal_grad_norm: float
-    columns: tuple[str, ...] = ("step", "dist", "sigma_r", "grad_norm")
+    columns: ClassVar[tuple[str, ...]] = ("step", "dist", "sigma_r", "grad_norm")
 
 
 def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
@@ -303,17 +302,14 @@ class IterationJacobianReport:
 
     eigenvalues: np.ndarray
     escape_eigenvalue: float
-    escape_row: int
-    escape_col: int
     d_miss: float
-    alpha: float
     frame: EigenFrame
     matrix: np.ndarray
 
     def escape_tangent(self) -> TangentParam:
         r, n = self.frame.r, self.frame.n
         N = np.zeros((r, n - r))
-        N[self.escape_row, self.escape_col] = 1.0
+        N[-1, 0] = 1.0                     # the core's null slot, the missing eigenvector
         return TangentParam(np.zeros((r, r)), N, self.frame)
 
 
@@ -346,10 +342,7 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     return IterationJacobianReport(
         eigenvalues=eig,
         escape_eigenvalue=1.0 + alpha * d_miss,
-        escape_row=r - 1,
-        escape_col=0,
         d_miss=d_miss,
-        alpha=alpha,
         frame=frame,
         matrix=mat,
     )

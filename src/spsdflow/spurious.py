@@ -18,6 +18,7 @@ from .manifold import (
     FactoredPoint,
     GroundTruth,
     TAU_ORTH,
+    _Columns,
     _freeze,
     complement_basis,
     frob,
@@ -134,7 +135,7 @@ def enumerate_spurious(gt: GroundTruth) -> list[SpuriousPoint]:
 
 
 @dataclass(frozen=True)
-class SpuriousTuple:
+class SpuriousTuple(_Columns):
     """Orthonormal parameterization (U, S) of a spurious point.
 
     U = (U_kept, U_fill) P^T and S = P diag(d_kept, 0) P^T with P orthogonal
@@ -151,14 +152,6 @@ class SpuriousTuple:
     def __post_init__(self):
         for name in ("U", "S", "P", "U_fill"):
             object.__setattr__(self, name, _freeze(getattr(self, name)))
-
-    @property
-    def n(self) -> int:
-        return self.U.shape[0]
-
-    @property
-    def r(self) -> int:
-        return self.U.shape[1]
 
     @property
     def s(self) -> int:

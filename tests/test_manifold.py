@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
 from spsdflow.flows import ExtensionError, _scaled_inverse
-from spsdflow.manifold import TAU_RANK, frob, relative_spectrum, sym, truncate
+from spsdflow.manifold import TAU_RANK, frob, orth_defect, relative_spectrum, sym, truncate
 from spsdflow.oracles import ChartDomainError
 
 
@@ -337,8 +337,30 @@ def test_factored_point_validation_and_immutability():
     pt = sf.FactoredPoint(np.eye(4)[:, :2], np.diag([2.0, 1.0]))
     assert not pt.U.flags.writeable and not pt.S.flags.writeable
     assert pt.in_manifold()
-    with pytest.raises(ValueError):
-        sf.FactoredPoint(np.ones((4, 2)), np.eye(2))
+    for U in (np.ones((4, 2)), np.full((4, 2), np.nan)):             # not orthonormal, NaN
+        with pytest.raises(ValueError, match="orthonormal"):
+            sf.FactoredPoint(U, np.eye(2))
+    for s in (np.nan, np.inf, -np.inf):                                # non-finite core
+        with pytest.raises(ValueError, match="finite"):
+            sf.FactoredPoint(np.eye(4)[:, :2], np.diag([s, 1.0]))
+
+
+def test_complement_basis_rejects_non_orthonormal_columns():
+    with pytest.raises(ValueError, match="U and the leading columns"):
+        sf.complement_basis(np.full((4, 2), np.nan))
+    with pytest.raises(ValueError, match="U and the leading columns"):
+        sf.complement_basis(np.eye(4)[:, :2], leading=np.eye(4)[:, [1]])   # not orthogonal to U
+
+
+def test_orth_defect_of_a_stack_is_each_matrix_bit_for_bit():
+    rng = np.random.default_rng(13)
+    U = np.linalg.qr(rng.standard_normal((6, 9, 3)))[0] + 1e-9 * rng.standard_normal((6, 9, 3))
+    U[2, 0, 0] = np.nan
+    stacked = orth_defect(U)
+    assert stacked.shape == (6,) and np.isnan(stacked[2])
+    assert np.array_equal(stacked, [orth_defect(u) for u in U], equal_nan=True)
+    assert orth_defect(np.eye(4)[:, :2]) == 0.0
+    assert orth_defect(2 * np.eye(3)[:, :1]) == 3.0
 
 
 def test_tangent_param_roundtrip():

@@ -228,3 +228,14 @@ def test_chart_domain_error():
     U = np.vstack([-np.eye(k), np.zeros((n - k, k))])
     with pytest.raises(ChartDomainError):
         sf.stiefel_chart(U, Q)
+
+
+@pytest.mark.parametrize("U, Q", [
+    (3 * np.ones((5, 2)), np.eye(5)[:, :2]),                 # U not orthonormal
+    (np.eye(5)[:, :2], np.eye(5)[:, [0, 0]]),                 # Q's columns not orthogonal
+    (np.eye(5)[:, :2], np.full((5, 2), np.nan)),              # NaN
+    (np.ones((2, 3)) / 2, np.eye(2, 3)),                      # more columns than rows
+])
+def test_chart_rejects_non_orthonormal_blocks(U, Q):
+    with pytest.raises(ValueError, match="orthonormal blocks"):
+        sf.stiefel_chart(U, Q)
