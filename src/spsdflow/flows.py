@@ -320,6 +320,9 @@ class RescaledFlowJacobian:
     def matrix(self) -> np.ndarray:
         """Matrixization over the n*r U-block plus the (zero) symmetric S-block.
 
+        :meth:`spectrum` reads the same eigenvalues from an n x n compression; this
+        full matrix is its reference.
+
         With W = X U p p^T and PX = (I - U U^T) X, the U-block on row-major
         vec(xi_U) is kron(PX, p p^T) - kron(I_n, (U^T W)^T) - T, where the
         xi_U^T term gives T[(i, j), (l, k)] = U[i, k] W[l, j].
@@ -334,7 +337,27 @@ class RescaledFlowJacobian:
         return out
 
     def spectrum(self, positive_tol: float = 1e-8) -> SpectrumReport:
-        eig = np.linalg.eigvals(self.matrix())
+        """Eigenvalues of :meth:`matrix`, sorted by descending real part, from an n x n compression.
+
+        Every image dF = [...] p p^T (see the class docstring) lies in the n-dimensional
+        subspace {y p^T}, and with u = U p the operator maps it as dF(y p^T) = (M y) p^T,
+
+            M = (I - U U^T) X - (u^T X u) I - u (X u)^T.
+
+        Against that invariant subspace the operator is block upper-triangular, and its
+        quotient block is zero (every image lies in the subspace; dH is zero too).
+        The spectrum is therefore exactly eig(M) plus n(r-1) + r(r+1)/2 zeros.
+        ``n_positive`` counts the real parts above ``positive_tol`` (nonnegative).
+        """
+        if not positive_tol >= 0:
+            raise ValueError("positive_tol must be nonnegative")
+        n, r = self.n, self.r
+        U, X = self.tup.U, self.gt.dense()
+        u = U @ self.tup.null_vec
+        Xu = self._XU @ self.tup.null_vec
+        M = X - U @ (U.T @ X) - (u @ Xu) * np.eye(n) - np.outer(u, Xu)
+        eig = np.linalg.eigvals(M)
+        eig = np.concatenate([eig, np.zeros(n * (r - 1) + r * (r + 1) // 2, eig.dtype)])
         eig = eig[np.argsort(-eig.real)]
         xi_U, xi_S = self.escape_direction()
         dF, dH = self.apply(xi_U, xi_S)

@@ -139,10 +139,21 @@ def sin_theta_check(A: np.ndarray, Delta: np.ndarray, subspace_dim: int
     leading eigenvalues of A and the trailing spectrum of B; principal
     angles come from the singular values of the basis overlap, clamped to
     [0, 1].  Raises :class:`SeparationError` when no positive separation
-    exists.
+    exists.  ``A`` must be a finite square matrix and ``Delta`` a finite
+    matrix of the same shape, with a finite sum.
     """
-    A = sym(np.asarray(A, dtype=float))
-    B = sym(A + np.asarray(Delta, dtype=float))
+    A = np.asarray(A, dtype=float)
+    Delta = np.asarray(Delta, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"A must be a square matrix, got shape {A.shape}")
+    if Delta.shape != A.shape:
+        raise ValueError(f"Delta must have A's shape {A.shape}, got {Delta.shape}")
+    if not np.isfinite(A).all():
+        raise ValueError("A has non-finite entries")
+    A = sym(A)
+    B = sym(A + Delta)
+    if not np.isfinite(B).all():          # A is finite: Delta is not, or the sums overflow
+        raise ValueError("Delta has non-finite entries, or A + Delta overflows")
     n = A.shape[0]
     k = int(subspace_dim)
     if not 0 < k < n:

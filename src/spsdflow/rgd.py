@@ -328,8 +328,8 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     K = Up^T X_m Up: on the coordinates of :func:`boundary_frame` (N row-major)
     the matrix is I plus alpha * kron(e e^T, K^T) on the N-block.
     """
-    if not alpha > 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
     frame = boundary_frame(tup)
     r, n = frame.r, frame.n
     d_miss = float(tup.point.d_miss[0])
@@ -356,12 +356,16 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     differential is sampled at the full-rank point Z(eps), the tuple core
     inflated by eps.  Central differences run through the dense retraction
     and :func:`rgd_step`'s arithmetic, in stacks of at most
-    ``BLOCK_ENTRIES // n**2`` columns, and are expressed in the tangent
-    coordinates of :func:`iteration_jacobian` (the eigen-frame that the
-    tuple and Z(eps) share).  Each stack's directions are built from its
-    coordinate rows in one call, and its differences are converted back to
-    coordinates in one call.
+    ``4 * BLOCK_ENTRIES // n**2`` columns (40 at n=40, 512 KB per stack of
+    dense n x n directions; larger stacks were no faster there and cost
+    peak memory), and are expressed in the tangent coordinates of
+    :func:`iteration_jacobian` (the eigen-frame that the tuple and Z(eps)
+    share).  Each stack's directions are built from its coordinate rows in
+    one call, and its differences are converted back to coordinates in one
+    call.  ``eps`` must be positive and finite.
     """
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
@@ -374,7 +378,7 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
         return sym(U @ S @ mT(U))
 
     basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))
-    stack = max(1, BLOCK_ENTRIES // tup.n**2)
+    stack = max(1, 4 * BLOCK_ENTRIES // tup.n**2)
     cols = []
     for lo in range(0, len(basis), stack):
         directions = _from_coordinates(frame, basis[lo:lo + stack]).to_ambient()

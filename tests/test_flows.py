@@ -385,6 +385,37 @@ def test_rescaled_jacobian_core_block_vanishes():
     assert frob(dF) == 0.0 and frob(dH) == 0.0
 
 
+@pytest.mark.parametrize("n, r", [(5, 1), (8, 3), (12, 5), (40, 5)])
+def test_rescaled_spectrum_equals_the_matrix_eigenvalues(n, r):
+    # spectrum() reads eig of an n x n compression padded with zeros; the full
+    # matrixization is the reference, at every tuple of a target and against a
+    # target the tuple was not built for (there X u != 0, so every term of the
+    # compression counts)
+    gt = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=23)
+    other = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=24)
+    tuples = [sf.sample_spurious_tuple(sf.spurious_point(gt, [i != miss for i in range(r)]), gt, miss)
+              for miss in range(r)]
+    for J in [sf.rescaled_jacobian(tup, g) for tup, g in zip(tuples + tuples[:1], [gt] * r + [other])]:
+        rep = J.spectrum()
+        ref = np.linalg.eigvals(J.matrix())
+        tol = 1e-12 * max(1.0, J.gt.d.max())
+        assert rep.eigenvalues.shape == ref.shape
+        assert np.all(np.diff(rep.eigenvalues.real) <= 0)
+        # conjugate pairs share a real part, so compare real and imaginary parts as sets
+        assert np.max(np.abs(np.sort(rep.eigenvalues.real) - np.sort(ref.real))) <= tol
+        assert np.max(np.abs(np.sort(rep.eigenvalues.imag) - np.sort(ref.imag))) <= tol
+        assert rep.n_positive == int(np.sum(ref.real > 1e-8))
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0])
+def test_rescaled_spectrum_rejects_invalid_positive_tol(tol):
+    # NaN would count nothing as positive, a negative tolerance the zeros
+    gt = small_instance(13)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 5)
+    with pytest.raises(ValueError, match="positive_tol"):
+        sf.rescaled_jacobian(tup, gt).spectrum(positive_tol=tol)
+
+
 @pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])
 def test_rescaled_jacobian_matrix_is_the_operator(n, r, mask):
     # the closed-form matrix acts on vec(xi_U) as apply does; xi_S is ignored

@@ -120,6 +120,20 @@ def test_sin_theta_requires_separation():
         sf.sin_theta_check(np.diag([1.0, 0.5]), np.diag([0.0, 0.6]), 1)
 
 
+@pytest.mark.parametrize("A, Delta, message", [
+    (np.ones((3, 2)), np.ones((3, 2)), "A must be a square matrix"),
+    (np.ones(3), np.ones(3), "A must be a square matrix"),
+    (np.eye(3), np.eye(2), "Delta must have A's shape"),
+    (np.eye(3), np.ones(3), "Delta must have A's shape"),        # would broadcast
+    (np.diag([2.0, np.nan, 1.0]), np.zeros((3, 3)), "A has non-finite entries"),
+    (np.diag([2.0, 1.0, 0.0]), np.full((3, 3), np.inf), "Delta has non-finite entries"),
+    (np.diag([1e308, 1.0, 0.0]), np.diag([1e308, 0.0, 0.0]), "A \\+ Delta overflows"),
+], ids=["non-square", "vector", "mismatched", "broadcast", "nan-A", "inf-Delta", "overflow"])
+def test_sin_theta_rejects_malformed_inputs(A, Delta, message):
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):   # numpy warns on overflow
+        sf.sin_theta_check(A, Delta, 1)
+
+
 def test_sin_theta_random_sweep():
     rng = np.random.default_rng(6)
     checked = 0

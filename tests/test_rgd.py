@@ -192,12 +192,21 @@ def test_non_finite_controls_are_rejected(build, message):
         build()
 
 
-@pytest.mark.parametrize("alpha", [0.0, float("nan")])
+@pytest.mark.parametrize("alpha", [0.0, float("nan"), float("inf")])
 def test_iteration_jacobian_rejects_nonpositive_alpha(alpha):
     gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=8)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
     with pytest.raises(ValueError, match="alpha must be positive"):
         sf.iteration_jacobian(tup, gt, alpha)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-5, float("nan"), float("inf")])
+def test_fd_iteration_matrix_rejects_invalid_eps(eps):
+    # zero and negative eps would give a wrong matrix, NaN and inf fail inside eigh
+    gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=8)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
+    with pytest.raises(ValueError, match="eps must be positive and finite"):
+        sf.fd_iteration_matrix(tup, gt, 0.7, eps=eps)
 
 
 # ------------------------------------------------------------ batched runs
@@ -415,7 +424,7 @@ def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
     ref = _fd_by_column(tup, gt, 0.7)
     # stacks of one column, of three (the last one partial at n=20 and n=40), and the default
-    for entries in (1, 3 * n**2, rgd.BLOCK_ENTRIES):
+    for entries in (1, 3 * n**2 // 4, rgd.BLOCK_ENTRIES):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
         fd = sf.fd_iteration_matrix(tup, gt, 0.7)
         assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
