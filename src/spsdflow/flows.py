@@ -24,8 +24,10 @@ import numpy as np
 from .manifold import (
     FactoredPoint,
     GroundTruth,
+    TAU_GAP,
     TAU_ORTH,
     TAU_RANK,
+    _finite,
     factored_blocks,
     frob,
     mT,
@@ -76,20 +78,16 @@ class StepControls:
     """Fixed-step RK4 controls.
 
     ``tau_conv`` <= 0 disables the gradient-norm stopping test.  The plain
-    system halts at ``sigma_floor``: below it the core inverse can no longer
-    be stepped through in finite precision.  Drift beyond ``max_drift``
-    before re-orthonormalization rejects the step (dt too large).
+    system halts at ``SIGMA_FLOOR``; drift beyond ``MAX_DRIFT`` rejects a step (dt too large).
     """
 
     dt: float = 1e-2
     tau_conv: float = 0.0
-    sigma_floor: float = 1e-12
-    max_drift: float = 1e-6
 
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if np.isnan([self.tau_conv, self.sigma_floor, self.max_drift]).any():
+        if np.isnan(self.tau_conv):
             raise ValueError("step controls must not be NaN")
 
 
@@ -108,8 +106,7 @@ class FlowResult:
         return [FlowState(p, float(t)) for p, t in zip(points, self.records[:, 0])]
 
 
-def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
-                   singular_tol: float = TAU_RANK) -> np.ndarray:
+def scaled_inverse(S: np.ndarray) -> np.ndarray:
     """The matrix S^-1 * sigma_min(S), extended continuously to singular S.
 
     In the eigenbasis the entries are sigma_min / sigma_i, which stay finite
@@ -117,28 +114,25 @@ def scaled_inverse(S: np.ndarray, gap_tol: float = 1e-8,
     is the rank-one projector onto the null direction.  The extension is
     undefined when the zero eigenvalue is not simple (rank deficit two or
     more), and the inverse does not exist when some other eigenvalue
-    vanishes; both cases raise.
+    vanishes; both cases raise, and so does a non-finite S.
     """
-    return _scaled_inverse(sym(np.asarray(S, dtype=float)), gap_tol, singular_tol)[0]
+    return _scaled_inverse(_finite("S", sym(np.asarray(S, dtype=float))))[0]
 
 
-def _scaled_inverse(S: np.ndarray, gap_tol=1e-8, singular_tol=TAU_RANK
-                    ) -> tuple[np.ndarray, np.ndarray]:
+def _scaled_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`scaled_inverse` and sigma_min(S) from one eigh, per core of a stack."""
     w, P = np.linalg.eigh(S)               # ascending
     size = np.abs(relative_spectrum(w))
-    if ((size[..., :1] <= singular_tol) & (size[..., 1:2] <= gap_tol)).any():
+    if ((size[..., :1] <= TAU_RANK) & (size[..., 1:2] <= TAU_GAP)).any():
         raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
-    if (size[..., 1:] <= singular_tol).any():
+    if (size[..., 1:] <= TAU_RANK).any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; inverse undefined")
     ratios = np.ones_like(w)               # sigma_min / sigma_min, exact
     ratios[..., 1:] = w[..., :1] / w[..., 1:]
     return sym((P * ratios[..., None, :]) @ mT(P)), w[..., 0]
 
 
-def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
-                            gap_tol: float = 1e-8,
-                            singular_tol: float = TAU_RANK) -> np.ndarray:
+def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray) -> np.ndarray:
     """Directional derivative of :func:`scaled_inverse` along ``direction``.
 
     For nonsingular S this equals
@@ -154,19 +148,19 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
       * one index on the null slot (eigenvalue sigma_i) -> -1/sigma_i,
       * null slot twice -> the pseudo-inverse of S on its nonzero spectrum.
 
-    Requires all eigenvalues pairwise separated by ``gap_tol`` (eigenvector
-    differentiability); returns a general (possibly nonsymmetric) matrix for
-    a general direction.
+    Requires all eigenvalues pairwise separated by ``TAU_GAP`` (eigenvector
+    differentiability) and finite S and direction; returns a general
+    (possibly nonsymmetric) matrix for a general direction.
     """
-    S = sym(np.asarray(S, dtype=float))
-    D = np.asarray(direction, dtype=float)
+    S = _finite("S", sym(np.asarray(S, dtype=float)))
+    D = _finite("direction", direction)
     if D.shape != S.shape:
         raise ValueError("direction has wrong shape")
     w, P = np.linalg.eigh(S)
     rel = relative_spectrum(w)
-    if (np.diff(rel) <= gap_tol).any():
+    if (np.diff(rel) <= TAU_GAP).any():
         raise EigenGapError("eigenvalues are not well separated")
-    if (np.abs(rel[1:]) <= singular_tol).any():
+    if (np.abs(rel[1:]) <= TAU_RANK).any():
         raise ExtensionError("a non-minimal eigenvalue vanishes; derivative undefined")
     C = P.T @ D @ P
     K = np.zeros_like(C)                   # at r = 1 every slice below is empty
@@ -178,7 +172,11 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray,
     return out
 
 
-# Below StepControls.sigma_floor, which integrate tests on logged points only:
+# sigma_r below which the plain system halts: its core inverse can no longer be stepped through.
+SIGMA_FLOOR = 1e-12
+# Orthonormality drift of an RK4 step, before re-orthonormalization, that rejects the step.
+MAX_DRIFT = 1e-6
+# Below SIGMA_FLOOR, which integrate tests on logged points only:
 # an RK4 stage may dip under that floor first, and must not raise for it.
 _PLAIN_SIGMA_FLOOR = 1e-14
 
@@ -255,7 +253,7 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
 
     def stop(t, dist, sigma, grad):
         return [(not t < t_end - 1e-12, "t_end"), (grad < ctl.tau_conv, "converged"),
-                (system == "dlra" and sigma < ctl.sigma_floor, "sigma_floor")]
+                (system == "dlra" and sigma < SIGMA_FLOOR, "sigma_floor")]
 
     def advance(t, U, S, A, B, sigma):
         h = min(ctl.dt, t_end - t)
@@ -267,7 +265,7 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
         drift = _reorthonormalize(U, S, TAU_ORTH)
-        if (drift > ctl.max_drift).any():
+        if (drift > MAX_DRIFT).any():
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")
         return t + h, U, S

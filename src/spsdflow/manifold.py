@@ -19,6 +19,8 @@ TAU_ORTH = 1e-10
 TAU_GRAD = 1e-8
 # Relative size (see relative_spectrum) at or below which a value counts as zero.
 TAU_RANK = 1e-12
+# Relative gap (same array) at or below which two values count as one repeated value.
+TAU_GAP = 1e-8
 
 
 def mT(A: np.ndarray) -> np.ndarray:
@@ -62,6 +64,14 @@ def _freeze(A: np.ndarray) -> np.ndarray:
     out = np.array(A, dtype=float)
     out.flags.writeable = False
     return out
+
+
+def _finite(name: str, A) -> np.ndarray:
+    """A as a float array; raises a ValueError naming it when an entry is NaN or infinite."""
+    A = np.asarray(A, dtype=float)
+    if not np.isfinite(A).all():
+        raise ValueError(f"{name} has non-finite entries")
+    return A
 
 
 def target_spectrum(eigenvalues, r: int) -> np.ndarray:
@@ -139,13 +149,11 @@ class FactoredPoint(_Columns):
 
     def __post_init__(self):
         U = np.array(self.U, dtype=float)
-        S = sym(np.array(self.S, dtype=float))
+        S = _finite("S", sym(np.asarray(self.S, dtype=float)))
         if U.ndim != 2 or S.shape != (U.shape[1], U.shape[1]):
             raise ValueError("U must be n-by-r and S r-by-r")
         if not orth_defect(U) <= TAU_ORTH:           # also fails for NaN
             raise ValueError("U does not have orthonormal columns")
-        if not np.isfinite(S).all():
-            raise ValueError("S must be finite")
         object.__setattr__(self, "U", _freeze(U))
         object.__setattr__(self, "S", _freeze(S))
 
@@ -156,9 +164,9 @@ class FactoredPoint(_Columns):
         """Smallest eigenvalue of the core S (equals the r-th eigenvalue of Z)."""
         return float(np.linalg.eigvalsh(self.S)[0])
 
-    def in_manifold(self, tol: float = TAU_RANK) -> bool:
+    def in_manifold(self) -> bool:
         """True when the represented matrix has full rank r."""
-        return bool(np.abs(relative_spectrum(np.linalg.eigvalsh(self.S))).min() > tol)
+        return bool(np.abs(relative_spectrum(np.linalg.eigvalsh(self.S))).min() > TAU_RANK)
 
 
 def factored_blocks(U: np.ndarray, gt: GroundTruth
@@ -241,18 +249,18 @@ class RetractionResult(NamedTuple):
     rank_deficient: bool
 
 
-def truncate(w: np.ndarray, V: np.ndarray, r: int, rank_tol: float = TAU_RANK) -> tuple:
+def truncate(w: np.ndarray, V: np.ndarray, r: int) -> tuple:
     """Keep the r largest pairs of an ascending ``eigh`` (one matrix or a stack), largest first.
 
     Returns (V_r, kept, deficient): a view of V, the values clamped at +0.0, and whether the
-    r-th largest value's entry of ``relative_spectrum(w)`` is at most ``rank_tol`` (or negative).
+    r-th largest value's entry of ``relative_spectrum(w)`` is at most ``TAU_RANK`` (or negative).
     """
     kept = np.maximum(w[..., ::-1][..., :r], 0.0)
-    deficient = relative_spectrum(w)[..., -r] <= rank_tol
+    deficient = relative_spectrum(w)[..., -r] <= TAU_RANK
     return V[..., ::-1][..., :r], kept, deficient
 
 
-def retract(W: np.ndarray, r: int, rank_tol: float = TAU_RANK) -> RetractionResult:
+def retract(W: np.ndarray, r: int) -> RetractionResult:
     """Best Frobenius rank-<=r SPSD approximation of a symmetric matrix.
 
     Eigendecomposes W and applies :func:`truncate`; the stored core is diagonal.
@@ -263,7 +271,7 @@ def retract(W: np.ndarray, r: int, rank_tol: float = TAU_RANK) -> RetractionResu
     W = sym(np.asarray(W, dtype=float))
     if not 0 < r <= W.shape[0]:
         raise ValueError("rank out of range")
-    V, kept, deficient = truncate(*np.linalg.eigh(W), r, rank_tol)
+    V, kept, deficient = truncate(*np.linalg.eigh(W), r)
     # Column-major U: factored_blocks' products round differently on a row-major copy.
     return RetractionResult(FactoredPoint(np.asfortranarray(V), np.diag(kept)), bool(deficient))
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import TAU_ORTH, TAU_RANK, orth_defect, relative_spectrum, sym
+from .manifold import TAU_GAP, TAU_ORTH, TAU_RANK, _finite, orth_defect, relative_spectrum, sym
 
 
 class SeparationError(ValueError):
@@ -74,8 +74,7 @@ def fd_report(fun, x, direction, reference, hs) -> FDReport:
     for h in hs:
         est = fd_directional(fun, x, direction, h)
         errors.append(_max_abs(_leafwise(lambda e, ref: e - ref, est, reference)))
-    floor = 1e-30
-    slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, floor)), 1)[0]
+    slope = np.polyfit(np.log(hs), np.log(np.maximum(errors, 1e-30)), 1)[0]
     ref_scale = max(_max_abs(reference), 1e-30)
     return FDReport(
         max_abs_err=float(min(errors)),
@@ -102,16 +101,15 @@ class EigMinSlope:
     multiplicity: int
 
 
-def eig_min_derivative(S: np.ndarray, dS: np.ndarray, gap_tol: float = 1e-8
-                       ) -> EigMinSlope:
+def eig_min_derivative(S: np.ndarray, dS: np.ndarray) -> EigMinSlope:
     """d/dt of sigma_min(S + t dS) at t = 0, with a flagged cluster fallback."""
-    S = sym(np.asarray(S, dtype=float))
-    dS = sym(np.asarray(dS, dtype=float))
+    S = _finite("S", sym(np.asarray(S, dtype=float)))
+    dS = _finite("dS", sym(np.asarray(dS, dtype=float)))
     if dS.shape != S.shape:
         raise ValueError("dS has wrong shape")
     w, P = np.linalg.eigh(S)
     rel = relative_spectrum(w)
-    cluster = np.flatnonzero(rel - rel[0] <= gap_tol)
+    cluster = np.flatnonzero(rel - rel[0] <= TAU_GAP)
     E = P[:, cluster]
     value = float(np.trace(E.T @ dS @ E))
     mode = "simple" if cluster.size == 1 else "cluster"
@@ -142,22 +140,19 @@ def sin_theta_check(A: np.ndarray, Delta: np.ndarray, subspace_dim: int
     exists.  ``A`` must be a finite square matrix and ``Delta`` a finite
     matrix of the same shape, with a finite sum.
     """
-    A = np.asarray(A, dtype=float)
+    A = _finite("A", A)
     Delta = np.asarray(Delta, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"A must be a square matrix, got shape {A.shape}")
     if Delta.shape != A.shape:
         raise ValueError(f"Delta must have A's shape {A.shape}, got {Delta.shape}")
-    if not np.isfinite(A).all():
-        raise ValueError("A has non-finite entries")
     A = sym(A)
     B = sym(A + Delta)
     if not np.isfinite(B).all():          # A is finite: Delta is not, or the sums overflow
         raise ValueError("Delta has non-finite entries, or A + Delta overflows")
-    n = A.shape[0]
-    k = int(subspace_dim)
-    if not 0 < k < n:
-        raise ValueError("subspace_dim out of range")
+    k = subspace_dim
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 < k < A.shape[0]:
+        raise ValueError(f"subspace_dim must be an integer in [1, {A.shape[0] - 1}], got {k!r}")
     wa, Va = np.linalg.eigh(A)
     wb, Vb = np.linalg.eigh(B)
     E0, a0 = Va[:, ::-1][:, :k], wa[::-1][:k]

@@ -63,14 +63,13 @@ class GDConfig:
     mode: str = "fixed"
     max_iters: int = 1000
     tol_dist: float = 1e-6
-    grad_tol: float = TAU_GRAD
 
     def __post_init__(self):
         if not 0 < self.alpha < np.inf:
             raise ValueError("alpha must be positive and finite")
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf or np.isnan(self.grad_tol):
+        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf:
             raise ValueError("invalid iteration controls")
 
 
@@ -155,7 +154,7 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
     """Iterate descent until the target, a stationary boundary point, or the cap.
 
     Statuses: ``converged_to_X`` when ||Z - X||_F < tol_dist;
-    ``near_spurious`` when the gradient norm falls under ``grad_tol`` while
+    ``near_spurious`` when the gradient norm falls under ``TAU_GRAD`` while
     still far from the target (the other family of fixed points);
     ``max_iters`` otherwise.  A rank-deficient retraction raises
     :class:`RankDropError`.  In varying mode, runs reach the target only
@@ -183,7 +182,7 @@ def run_rgd_batch(inits: Collection, gt: GroundTruth, cfg: GDConfig,
     (``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
     """
     def stop(k, dist, sigma, grad):
-        return [(dist < cfg.tol_dist, "converged_to_X"), (grad < cfg.grad_tol, "near_spurious"),
+        return [(dist < cfg.tol_dist, "converged_to_X"), (grad < TAU_GRAD, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
     def advance(k, U, S, A, B, sigma):

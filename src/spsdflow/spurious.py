@@ -197,24 +197,22 @@ def sample_spurious_tuple(sp: SpuriousPoint, gt: GroundTruth, seed: int,
     return SpuriousTuple(sp, U, S, P, U_fill)
 
 
-def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int,
-                 max_tries: int = 16) -> FactoredPoint:
+def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint:
     """Full-rank point at Frobenius distance about ``epsilon`` from the tuple.
 
     Adds a random symmetric unit-norm perturbation and retracts back to rank
     r.  Retraction is nonexpansive here, so the result stays within
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
-    event) are resampled.
+    event) are resampled, up to 16 draws in all.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
     Z = tup.factored().dense()
     rng = _tagged_rng(seed, tag=2)
-    for _ in range(max_tries):
+    for _ in range(16):
         E = sym(rng.standard_normal((tup.n, tup.n)))
         E /= frob(E)
         res = retract(Z + epsilon * E, tup.r)
         if not res.rank_deficient:
             return res.point
-    raise RuntimeError(
-        f"no full-rank perturbation found in {max_tries} draws; epsilon is degenerate")
+    raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")

@@ -468,3 +468,14 @@ def test_public_names_are_pinned():
         "spurious_point", "stiefel_chart", "tangent_coordinate_basis",
         "tangent_coordinates", "tangent_project",
     ]
+
+
+def test_readme_library_example_runs_as_printed(capsys):
+    # a documented call that passes a removed keyword or field fails here
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    code = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1].split("```")[0]
+    exec(compile(code, "README.md", "exec"), {})
+    grad, eigenvalue, run = capsys.readouterr().out.splitlines()
+    assert float(grad) < 1e-12
+    assert abs(float(eigenvalue) - 1.0) <= 1e-8
+    assert run.split()[0] == "converged_to_X"

@@ -123,6 +123,17 @@ def test_scaled_inverse_multiplicity_error():
         sf.scaled_inverse(np.diag([1.0, 0.0, 0.0]))
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: sf.scaled_inverse(np.diag([1.0, np.nan])), "S"),
+    (lambda: sf.scaled_inverse_gradient(np.diag([1.0, np.inf]), np.eye(2)), "S"),
+    (lambda: sf.scaled_inverse_gradient(np.diag([1.0, 2.0]), [[np.nan, 0], [0, 1]]), "direction"),
+], ids=["scaled_inverse-S", "gradient-S", "gradient-direction"])
+def test_scaled_inverse_rejects_non_finite_input(call, name):
+    # eigh would otherwise turn one bad entry into an all-NaN answer
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        call()
+
+
 def test_gradient_of_scaled_inverse_boundary_cases():
     gt = small_instance(7)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 4)

@@ -85,6 +85,17 @@ def test_eig_min_derivative_cluster_mode():
     assert abs(out.value - 10.0) < 1e-12   # trace over the cluster
 
 
+@pytest.mark.parametrize("S, dS, name", [
+    (np.diag([1.0, np.nan]), np.eye(2), "S"),
+    (np.diag([1.0, 2.0]), np.diag([np.nan, 0.0]), "dS"),
+    (np.diag([np.inf, 2.0]), np.eye(2), "S"),
+], ids=["nan-S", "nan-dS", "inf-S"])
+def test_eig_min_derivative_rejects_non_finite_input(S, dS, name):
+    # unchecked, a NaN core gives 0.0 from an empty "cluster" and a NaN dS a NaN "simple" slope
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        sf.eig_min_derivative(S, dS)
+
+
 def test_eig_min_slope_bound_along_flow():
     gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=4)
     rng = np.random.default_rng(5)
@@ -132,6 +143,19 @@ def test_sin_theta_requires_separation():
 def test_sin_theta_rejects_malformed_inputs(A, Delta, message):
     with np.errstate(over="ignore"), pytest.raises(ValueError, match=message):   # numpy warns on overflow
         sf.sin_theta_check(A, Delta, 1)
+
+
+@pytest.mark.parametrize("k", [1.5, 1.0, True, np.True_, "1", 0, 3, np.int64(3)])
+def test_sin_theta_rejects_dimensions_that_are_not_integers_in_range(k):
+    # a float or a bool is a caller's mistake: truncating it would report on another dimension
+    with pytest.raises(ValueError, match="subspace_dim must be an integer in \\[1, 2\\]"):
+        sf.sin_theta_check(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), k)
+
+
+@pytest.mark.parametrize("k", [1, np.int64(1), np.int32(1), np.uint8(1)])
+def test_sin_theta_accepts_python_and_numpy_ints(k):
+    rep = sf.sin_theta_check(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), k)
+    assert rep.delta == 1.0 and rep.holds
 
 
 def test_sin_theta_random_sweep():
