@@ -23,14 +23,17 @@ from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
 from .manifold import (FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms,
                        target_spectrum)
-from .rgd import GDConfig, run_rgd_batch
+from .rgd import GDConfig, _dense_stack, _stack, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
+    _haar_fill,
+    _perturbed,
     _tagged_rng,
+    _tuples,
     haar_orthonormal,
     make_ground_truth,
-    perturb_near,
-    sample_spurious_tuple,
+    perturb_near,  # noqa: F401 - perfbench's tracer wraps this name here
+    sample_spurious_tuple,  # noqa: F401 - perfbench's tracer wraps this name here
     spurious_point,
 )
 
@@ -174,20 +177,26 @@ def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
     return FactoredPoint(U, np.diag(lam))
 
 
-def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]) -> list:
-    """Each seed's start, built when its block takes it in; an escape's point and radius once."""
+def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
+    """Block builder: the stacked starts (U, S) of seeds[lo:hi]; an escape's point and radius once.
+
+    Seed i's escape start is ``perturb_near(sample_spurious_tuple(sp, gt, s1), radius, s2)``,
+    with s1 and s2 from ``default_rng(i)``.
+    """
     if cfg.scenario == "example_1_1":
-        return [_EXAMPLE_START] * len(seeds)
+        return lambda lo, hi: _stack([_EXAMPLE_START] * (hi - lo))
     if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
-        return [partial(_random_point, gt, seed) for seed in seeds]
+        return lambda lo, hi: _stack([_random_point(gt, seed) for seed in seeds[lo:hi]])
     sp = spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
     radius = cfg.epsilon * frob(sp.dense())
 
-    def start(seed):
-        rng = np.random.default_rng(seed)
-        tup = sample_spurious_tuple(sp, gt, seed=int(rng.integers(2**63)))
-        return perturb_near(tup, radius, seed=int(rng.integers(2**63)))
-    return [partial(start, seed) for seed in seeds]
+    def build(lo, hi):
+        pairs = [(int(g.integers(2**63)), int(g.integers(2**63)))
+                 for g in map(np.random.default_rng, seeds[lo:hi])]
+        U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in pairs]))[:2]
+        return _perturbed(U, S, radius, [_tagged_rng(s2, tag=2) for _, s2 in pairs],
+                          _dense_stack(gt.n))
+    return build
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
@@ -198,7 +207,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
     gt = _shared_ground_truth(cfg)
     starts = _starts(cfg, gt, seeds)
     if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
-        runs = _integrate_batch(system, starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
+        runs = _integrate_batch(system, len(seeds), starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
         cols = FlowResult.columns
         return [RunResult(seed, status, rows, cols,
                           {"status": status, **dict(zip(cols, map(float, rows[-1])))})
@@ -212,7 +221,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
             dist_limit[i].append(x)
 
     results = []
-    runs = run_rgd_batch(starts, gt, _gd_config(cfg), observe if example else None)
+    runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), observe if example else None)
     for run, seed, col in zip(runs, seeds, dist_limit):
         terminal = {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
                     "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm}

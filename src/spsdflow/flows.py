@@ -34,7 +34,7 @@ from .manifold import (
     relative_spectrum,
     sym,
 )
-from .rgd import _reorthonormalize, _run_blocks
+from .rgd import _reorthonormalize, _run_blocks, _stack
 from .spurious import SpuriousTuple
 
 
@@ -181,20 +181,20 @@ MAX_DRIFT = 1e-6
 _PLAIN_SIGMA_FLOOR = 1e-14
 
 
-def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None = None
+def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain right-hand side on raw factors (stacks give stacks), from U's blocks ``AB`` if set."""
-    A, B = AB or factored_blocks(U, gt)[:2]
-    if (np.linalg.eigvalsh(S)[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
+    """Plain right-hand side on raw factors (stacks give stacks), from ``known`` (A, B, sigma_r)."""
+    A, B, sigma = known or (*factored_blocks(U, gt)[:2], np.linalg.eigvalsh(S)[..., 0])
+    if (sigma <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
     dU = mT(np.linalg.solve(S, mT(B)))
     return dU, A - S
 
 
-def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, AB: tuple | None = None
+def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
     """Rescaled right-hand side on raw factors, as :func:`_raw_plain`; tolerates a singular core."""
-    A, B = AB or factored_blocks(U, gt)[:2]
+    A, B = (known or factored_blocks(U, gt))[:2]
     phi, smin = _scaled_inverse(S)
     return B @ phi, (A - S) * smin[..., None, None]
 
@@ -234,13 +234,14 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     """
     seen = []                              # (U, S) of each point before it steps
     status, records, U, S = next(_integrate_batch(
-        system, [init], gt, t_end, controls, lambda t, ids, U, S: seen.append((U[0], S[0]))))
+        system, 1, lambda lo, hi: _stack([init]), gt, t_end, controls,
+        lambda t, ids, U, S: seen.append((U[0], S[0]))))
     return FlowResult(records, status, _init=init, _factors=(seen + [(U, S)])[1:])
 
 
-def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
+def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: float,
                      controls: StepControls | None = None, observe=None):
-    """:func:`integrate` from every start as one batch, whose runs share the flow time.
+    """:func:`integrate` from ``count`` starts as one batch, whose runs share the flow time.
 
     Yields ``(status, records, U, S)`` per run from :func:`spsdflow.rgd._run_blocks`.
     """
@@ -257,7 +258,7 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
 
     def advance(t, U, S, A, B, sigma):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = rhs(U, S, gt, (A, B))     # the runner's blocks at this point
+        kU1, kS1 = rhs(U, S, gt, (A, B, sigma))   # the runner's blocks and sigma_r here
         kU2, kS2 = rhs(U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
         kU3, kS3 = rhs(U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
         kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)
@@ -270,7 +271,7 @@ def _integrate_batch(system: str, inits, gt: GroundTruth, t_end: float,
                                 "reduce dt")
         return t + h, U, S
 
-    return _run_blocks(inits, gt, stop, advance, observe)
+    return _run_blocks(count, build, gt, stop, advance, observe)
 
 
 @dataclass

@@ -268,9 +268,9 @@ def retract(W: np.ndarray, r: int) -> RetractionResult:
     r retained eigenvalues are positive (the minimizer then leaves the rank-r
     manifold; ties at zero are broken by the eigensolver's ordering).
     """
-    W = sym(np.asarray(W, dtype=float))
-    if not 0 < r <= W.shape[0]:
-        raise ValueError("rank out of range")
+    W = sym(_finite("W", W))
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 < r <= W.shape[0]:
+        raise ValueError("r must be an int from 1 to the size of W")
     V, kept, deficient = truncate(*np.linalg.eigh(W), r)
     # Column-major U: factored_blocks' products round differently on a row-major copy.
     return RetractionResult(FactoredPoint(np.asfortranarray(V), np.diag(kept)), bool(deficient))

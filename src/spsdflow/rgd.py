@@ -15,8 +15,7 @@ eigendecomposition per step replaces a dense n-by-n one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
-from typing import Callable, ClassVar, Collection, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
@@ -164,22 +163,32 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
     below ``tol_dist`` up to rounding.  This is :func:`run_rgd_batch` with a
     batch of one.
     """
-    return next(run_rgd_batch([init], gt, cfg))
+    return next(run_rgd_batch(1, lambda lo, hi: _stack([init]), gt, cfg))
 
 
-# Factor entries per stacked block of runs (32 runs at n=100, r=5).  A step
-# holds about ten (R, n, r) temporaries: at n=100, r=5 one block of 400 runs
-# raised peak memory by 15 MB over the serial loop, blocks of 32 runs by
-# about 1 MB, at the same speed.
-BLOCK_ENTRIES = 2**14
+# Factor entries per stacked block of runs (131 at n=100, r=5), and dense n x n
+# entries per stacked call (_dense_stack).  The 400 escape runs at n=100, r=5 took
+# 1.48, 1.54, 1.39 and 1.48 reference s at 2**14, 2**15, 2**16 and 2**17 (medians of
+# 8 interleaved rounds, two-core VM, one BLAS thread) and peaked at 42, 44, 46, 50 MB.
+BLOCK_ENTRIES = 2**16
 
 
-def run_rgd_batch(inits: Collection, gt: GroundTruth, cfg: GDConfig,
+def _dense_stack(n: int) -> int:
+    """Dense n x n matrices per stacked call: escape starts' retractions, FD-oracle columns."""
+    return max(1, BLOCK_ENTRIES // n**2)
+
+
+def _stack(points) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked factors (U, S) of the points, as a block builder returns them."""
+    return np.stack([p.U for p in points]), np.stack([p.S for p in points])
+
+
+def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
                   observe: Callable | None = None) -> Iterator[RgdRun]:
-    """Run descent from every start together against the shared target.
+    """Run descent from ``count`` starts together against the shared target.
 
     Yields each run in start order, bit for bit its :func:`run_rgd` run, on :func:`_run_blocks`
-    (``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
+    (``build``, ``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
     """
     def stop(k, dist, sigma, grad):
         return [(dist < cfg.tol_dist, "converged_to_X"), (grad < TAU_GRAD, "near_spurious"),
@@ -191,35 +200,28 @@ def run_rgd_batch(inits: Collection, gt: GroundTruth, cfg: GDConfig,
             raise RankDropError(f"iterate left the manifold at step {k}")
         return k + 1, U, S
 
-    for status, rows, U, S in _run_blocks(inits, gt, stop, advance, observe):
+    for status, rows, U, S in _run_blocks(count, build, gt, stop, advance, observe):
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
 
 
-def _run_blocks(inits: Collection, gt: GroundTruth, stop: Callable,
+def _run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
                 advance: Callable, observe: Callable | None) -> Iterator[tuple]:
-    """Step the runs from every start as stacked factors: the runner of descent and flows.
+    """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
-    A start is a point or a function that builds it when its block is taken in.  Runs go in
-    blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining the last,
-    taken in and handed out one at a time; no run's arithmetic depends on the others.  A run ends
-    at the first (mask, status) of ``stop`` whose mask holds; the rest go to ``observe`` (with
-    indices among all starts), then on by ``advance``.  Yields per run its status, its rows (x
-    from 0 in each block, dist, sigma_r, grad_norm) to the terminal point, and its factors.
+    Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
+    the last, whose stacked starts (U, S) ``build(lo, hi)`` gives when the block is taken in; no
+    run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
+    whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
+    ``advance``.  Yields per run its status, its rows (x from 0 in each block, dist, sigma_r,
+    grad_norm) to the terminal point, and its factors.
     """
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
-    starts, left = iter(inits), len(inits)
-    first = 0                             # index of the block's first start
-    while block := list(islice(starts, left if 2 * left <= 3 * cap else cap)):
-        block = [p() if callable(p) else p for p in block]
-        left -= len(block)
-        U = np.stack([p.U for p in block])
-        S = np.stack([p.S for p in block])
-        ids = np.arange(first, first + len(block))   # start index of each stacked run
-        first += len(block)
-        # Free the starts before the next block is sampled: holding them
-        # then raised peak RSS by 8 MB at n=1000 (heap fragmentation around
-        # the sampler's dense temporaries; live memory was the same).
-        del block
+    lo = 0                                # index of the block's first start
+    while lo < count:
+        hi = count if 2 * (count - lo) <= 3 * cap else lo + cap
+        U, S = build(lo, hi)
+        ids = np.arange(lo, hi)           # start index of each stacked run
+        lo = hi
         ends = {}
         log = []                          # rows (id, x, dist, sigma, grad) per point
         x = 0
@@ -355,9 +357,9 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     differential is sampled at the full-rank point Z(eps), the tuple core
     inflated by eps.  Central differences run through the dense retraction
     and :func:`rgd_step`'s arithmetic, in stacks of at most
-    ``4 * BLOCK_ENTRIES // n**2`` columns (40 at n=40, 512 KB per stack of
-    dense n x n directions; larger stacks were no faster there and cost
-    peak memory), and are expressed in the tangent coordinates of
+    ``_dense_stack(n)`` columns (40 at n=40, 512 KB per stack of dense
+    n x n directions; larger stacks were no faster there and cost peak
+    memory), and are expressed in the tangent coordinates of
     :func:`iteration_jacobian` (the eigen-frame that the tuple and Z(eps)
     share).  Each stack's directions are built from its coordinate rows in
     one call, and its differences are converted back to coordinates in one
@@ -377,7 +379,7 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
         return sym(U @ S @ mT(U))
 
     basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))
-    stack = max(1, 4 * BLOCK_ENTRIES // tup.n**2)
+    stack = _dense_stack(tup.n)
     cols = []
     for lo in range(0, len(basis), stack):
         directions = _from_coordinates(frame, basis[lo:lo + stack]).to_ambient()

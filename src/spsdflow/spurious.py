@@ -22,9 +22,11 @@ from .manifold import (
     _freeze,
     complement_basis,
     frob,
-    retract,
+    mT,
+    retract,  # noqa: F401 - perfbench/tracer.py wraps spurious.retract
     sym,
     target_spectrum,
+    truncate,
 )
 
 
@@ -36,11 +38,11 @@ def haar_orthonormal(rng: np.random.Generator, n: int, m: int | None = None) -> 
 
 
 def _sign_fixed_qr(G: np.ndarray) -> np.ndarray:
-    """Orthonormal factor of G's QR with the signs that make diag(R) nonnegative."""
+    """Orthonormal factor of G's QR with the signs that make diag(R) nonnegative, per matrix."""
     Q, R = np.linalg.qr(G)
-    s = np.sign(np.diag(R))
+    s = np.sign(np.diagonal(R, axis1=-2, axis2=-1))
     s[s == 0] = 1.0
-    return Q * s
+    return Q * s[..., None, :]
 
 
 def _tagged_rng(seed: int, tag: int) -> np.random.Generator:
@@ -177,24 +179,32 @@ def sample_spurious_tuple(sp: SpuriousPoint, gt: GroundTruth, seed: int,
     target's eigenvector span (Gaussian then QR); the mixing matrix P is
     Haar-distributed, or the identity when ``haar`` is false.
     """
-    n, r, s = sp.n, sp.r, sp.s
-    k = r - s
-    if n - r < k:
+    k = sp.r - sp.s
+    if sp.n - sp.r < k:
         raise ValueError("complement too small to fill the missing rank")
-    rng = _tagged_rng(seed, tag=1)
     if haar:
-        G = rng.standard_normal((n, k))
-        G -= gt.U @ (gt.U.T @ G)
-        U_fill = _sign_fixed_qr(G)
-        P = haar_orthonormal(rng, r)
+        fill, P = _haar_fill(sp, gt, [_tagged_rng(seed, tag=1)])
     else:
-        U_fill = complement_basis(gt.U)[:, :k]
-        P = np.eye(r)
-    U = np.hstack([sp.U_kept, U_fill]) @ P.T
-    S = sym((P[:, :s] * sp.d_kept) @ P[:, :s].T)
-    if frob(U_fill.T @ gt.U) > TAU_ORTH:
+        fill, P = complement_basis(gt.U)[None, :, :k], np.eye(sp.r)[None]
+    return SpuriousTuple(sp, *(v[0] for v in _tuples(sp, gt, fill, P)))
+
+
+def _haar_fill(sp: SpuriousPoint, gt: GroundTruth, rngs: list) -> tuple:
+    """Stacked fill columns and Haar P, one each from the generators: the columns, then P."""
+    n, r, k = sp.n, sp.r, sp.r - sp.s
+    draws = [(rng.standard_normal((n, k)), rng.standard_normal((r, r))) for rng in rngs]
+    G = np.stack([g for g, _ in draws])
+    G -= gt.U @ (gt.U.T @ G)
+    return _sign_fixed_qr(G), _sign_fixed_qr(np.stack([p for _, p in draws]))
+
+
+def _tuples(sp: SpuriousPoint, gt: GroundTruth, fill: np.ndarray, P: np.ndarray) -> tuple:
+    """Stacked (U, S, P, U_fill) with U = (U_kept, U_fill) P^T and S = P diag(d_kept, 0) P^T."""
+    if (np.linalg.norm(mT(fill) @ gt.U, axis=(-2, -1)) > TAU_ORTH).any():
         raise RuntimeError("fill-in block failed the orthogonality constraint")
-    return SpuriousTuple(sp, U, S, P, U_fill)
+    U = np.concatenate([np.broadcast_to(sp.U_kept, fill.shape[:-1] + (sp.s,)), fill], -1) @ mT(P)
+    Ps = P[..., :sp.s]
+    return U, sym((Ps * sp.d_kept) @ mT(Ps)), P, fill
 
 
 def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint:
@@ -205,14 +215,40 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
     event) are resampled, up to 16 draws in all.
     """
+    U, S = _perturbed(tup.U[None], tup.S[None], epsilon, [_tagged_rng(seed, tag=2)], 1)
+    return FactoredPoint(U[0], S[0])
+
+
+def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, stack: int,
+               draws: int = 16) -> tuple:
+    """Stacked (U, S) of :func:`perturb_near` at the tuples (U, S), one generator each.
+
+    Sub-stacks of ``stack`` dense W = sym(U S U^T) + epsilon E are built in one buffer for one
+    ``eigh``; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
+    """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
-    Z = tup.factored().dense()
-    rng = _tagged_rng(seed, tag=2)
-    for _ in range(16):
-        E = sym(rng.standard_normal((tup.n, tup.n)))
-        E /= frob(E)
-        res = retract(Z + epsilon * E, tup.r)
-        if not res.rank_deficient:
-            return res.point
-    raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
+    if not draws:
+        raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
+    R, n, r = U.shape
+    US = U @ S
+    U_out, S_out = mT(np.empty((R, r, n))), np.zeros((R, r, r))   # column-major U, as retract's
+    deficient = np.empty(R, dtype=bool)
+    buf = np.empty((min(stack, R), n, n))
+    for lo in range(0, R, stack):
+        hi = min(lo + stack, R)
+        W = np.matmul(US[lo:hi], mT(U[lo:hi]), out=buf[:hi - lo])
+        W += mT(W)                        # sym(U S U^T) in place
+        W *= 0.5
+        for w, rng in zip(W, rngs[lo:hi]):
+            E = sym(rng.standard_normal((n, n)))
+            E /= frob(E)
+            w += epsilon * E
+        del E                             # before eigh's own copies: peak memory at large n
+        U_out[lo:hi], kept, deficient[lo:hi] = truncate(*np.linalg.eigh(W), r)
+        S_out.reshape(R, r * r)[lo:hi, ::r + 1] = kept   # diag(kept) per start
+    if deficient.any():                   # such a start draws again from its generator
+        redo = np.flatnonzero(deficient)
+        U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], epsilon, [rngs[i] for i in redo],
+                                              stack, draws - 1)
+    return U_out, S_out

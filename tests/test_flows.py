@@ -227,6 +227,28 @@ def test_rescaled_step_decomposes_each_core_once(monkeypatch):
         assert abs(dense - res.records[k, 1]) <= 1e-12 * frob(gt.dense())
 
 
+def test_dlra_step_reuses_the_logged_sigma(monkeypatch):
+    # RK4 stage 1 takes sigma_r from the runner's eigvalsh at the logged point, so a
+    # plain-flow step costs four eigvalsh (the logged point's and stages 2-4) and no eigh
+    gt = small_instance(11)
+    rng = np.random.default_rng(3)
+    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
+    calls = {"eigh": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    res = sf.integrate("dlra", init, gt, 0.5, sf.StepControls(dt=0.05))
+    steps = len(res.records) - 1
+    assert steps == 10
+    assert calls == {"eigh": 0, "eigvalsh": 4 * steps + 1}
+
+
 def test_integrate_converges_from_generic_start():
     gt = sf.make_ground_truth(100, 5, [5, 4, 3, 2, 1], seed=11)
     rng = np.random.default_rng(4)
@@ -307,6 +329,11 @@ def test_step_controls_reject_nonpositive_dt(dt):
         sf.StepControls(dt=dt)
 
 
+def batch_of(points):
+    """(count, build) of a batch that starts from the given points."""
+    return len(points), lambda lo, hi: rgd._stack(points[lo:hi])
+
+
 def _mixed_flow_starts():
     """Starts on example 1.1's target that end in every status of a flow run."""
     gt = sf.GroundTruth(np.eye(3)[:, :2], np.array([2.0, 1.0]))
@@ -334,7 +361,7 @@ def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses)
     # blocks of one run, of two and three (the tail run joins the last block), and all five
     for entries in (gt.n * gt.r, 2 * gt.n * gt.r, rgd.BLOCK_ENTRIES):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
-        runs = list(_integrate_batch(system, starts, gt, 3.0, ctl))
+        runs = list(_integrate_batch(system, *batch_of(starts), gt, 3.0, ctl))
         for (status, records, U, S), ref in zip(runs, alone, strict=True):
             assert status == ref.status
             assert np.array_equal(records, ref.records)
@@ -362,10 +389,10 @@ def test_observed_factors_stay_orthonormal_and_symmetric(kind, n, data):
     if kind in ("fixed", "varying"):
         # a step below 1 keeps the retained core positive definite
         alpha = data.draw(st.floats(0.05, 0.9), label="alpha") / (1.5 * r if kind == "varying" else 1)
-        list(rgd.run_rgd_batch(starts, gt, sf.GDConfig(alpha, kind, max_iters=200), observe))
+        list(rgd.run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(alpha, kind, max_iters=200), observe))
     else:
         dt = data.draw(st.floats(2e-3, 1e-2), label="dt")      # larger steps may drift too far
-        list(_integrate_batch(kind, starts, gt, data.draw(st.floats(0.02, 0.5), label="t_end"),
+        list(_integrate_batch(kind, *batch_of(starts), gt, data.draw(st.floats(0.02, 0.5), label="t_end"),
                               sf.StepControls(dt=dt), observe))
     assert seen
 

@@ -123,6 +123,11 @@ def test_retract_flags_rank_deficiency():
     res = sf.retract(np.diag([3.0, -1.0, -2.0]), 2)
     assert res.rank_deficient
     assert frob(res.point.dense() - np.diag([3.0, 0.0, 0.0])) < 1e-14
+    # a bool is not a rank, and a non-finite W fails here rather than inside eigh
+    with pytest.raises(ValueError, match="^r must be an int"):
+        sf.retract(np.diag([3.0, 2.0, 1.0]), True)
+    with pytest.raises(ValueError, match="^W has non-finite entries"):
+        sf.retract(np.diag([3.0, np.nan, 1.0]), 2)
 
 
 # ------------------------------------------------------------ relative rank

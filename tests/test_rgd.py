@@ -208,6 +208,11 @@ def test_fd_iteration_matrix_rejects_invalid_eps(eps):
 
 # ------------------------------------------------------------ batched runs
 
+def batch_of(points):
+    """(count, build) of a batch that starts from the given points."""
+    return len(points), lambda lo, hi: rgd._stack(points[lo:hi])
+
+
 def _escape_starts(gt, count):
     # closer starts take longer to escape
     sp = sf.spurious_point(gt, [True] * (gt.r - 1) + [False])
@@ -228,7 +233,7 @@ def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
     # one block of five runs, then a block of two and one of three (the tail run joins it)
     for entries in (rgd.BLOCK_ENTRIES, 2 * gt.n * gt.r):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
-        for run, ref in zip(run_rgd_batch(starts, gt, cfg), alone, strict=True):
+        for run, ref in zip(run_rgd_batch(*batch_of(starts), gt, cfg), alone, strict=True):
             assert (run.status, run.iters) == (ref.status, ref.iters)
             assert np.array_equal(run.records, ref.records)
             assert ((run.terminal_dist, run.terminal_sigma_r, run.terminal_grad_norm)
@@ -254,9 +259,9 @@ def _observed_escape_runs(monkeypatch):
         for i, x in zip(ids, dist):
             seen.setdefault(int(i), []).append((k, x))
 
-    runs = list(run_rgd_batch(starts, gt, cfg, observe))
+    runs = list(run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     assert blocks == [[0, 1], [2, 3, 4]]      # a tail of one run joins the last block of two
-    return runs, seen, list(run_rgd_batch(starts, gt, cfg))
+    return runs, seen, list(run_rgd_batch(*batch_of(starts), gt, cfg))
 
 
 def test_observer_sees_every_logged_step_with_global_ids(monkeypatch):
@@ -300,26 +305,64 @@ def test_example_limit_distances_do_not_depend_on_blocks(monkeypatch):
 ])
 def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, count, sizes):
     # blocks hold cap = BLOCK_ENTRIES // (n r) runs; a tail of at most cap / 2 runs
-    # steps with the last full block instead of alone.  Lazy starts are built when
-    # their block is taken in, after the previous block has stepped
+    # steps with the last full block instead of alone.  A block's starts are built
+    # in one call when the block is taken in, after the previous block has stepped
     gt = sf.make_ground_truth(4, 1, [1.0], seed=0)
     rng = np.random.default_rng(1)          # not the target's stream
     points = [sf.FactoredPoint(sf.haar_orthonormal(rng, 4, 1), np.eye(1)) for _ in range(count)]
     monkeypatch.setattr(rgd, "BLOCK_ENTRIES", cap * 4)
     events = []
 
-    def lazy(point):
-        return lambda: events.append("build") or point
+    def build(lo, hi):
+        events.append(("build", lo, hi))
+        return rgd._stack(points[lo:hi])
 
     def observe(k, ids, U, S):
         events.append(len(ids))
 
     cfg = sf.GDConfig(alpha=0.1, max_iters=1)
-    runs = list(run_rgd_batch([lazy(p) for p in points], gt, cfg, observe))
+    runs = list(run_rgd_batch(count, build, gt, cfg, observe))
     assert [run.iters for run in runs] == [1] * count   # every run stepped once, in its block
-    assert events == [e for size in sizes for e in ["build"] * size + [size]]
-    for run, ref in zip(runs, run_rgd_batch(points, gt, cfg), strict=True):
+    bounds = np.cumsum([0] + sizes).tolist()
+    assert events == [e for lo, hi in zip(bounds[:-1], bounds[1:])
+                      for e in [("build", lo, hi), hi - lo]]
+    for run, ref in zip(runs, run_rgd_batch(*batch_of(points), gt, cfg), strict=True):
         assert np.array_equal(run.records, ref.records)
+
+
+@pytest.mark.parametrize("mode", ["fixed", "varying"])
+def test_descent_block_step_call_budget(monkeypatch, mode):
+    # a block step is one eigh of the 2r x 2r cores, one QR of B and one eigvalsh for
+    # sigma_r, whatever the block size, plus one QR when some run is re-orthonormalized
+    gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
+    rng = np.random.default_rng(6)
+    starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), np.diag([2.5, 1.5, 0.6]))
+              for _ in range(4)]
+    # drift 3.5e-11 > 0.1 TAU_ORTH: this run is re-orthonormalized after its first step
+    starts[1] = sf.FactoredPoint(starts[1].U * (1 + 1e-11), starts[1].S)
+    calls = {"eigh": 0, "qr": 0, "eigvalsh": 0, "redo": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def reorthonormalize(U, S, tol):
+        drift = redo(U, S, tol)
+        calls["redo"] += bool((drift > tol).any())
+        return drift
+
+    for name in ("eigh", "qr", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    redo = rgd._reorthonormalize
+    monkeypatch.setattr(rgd, "_reorthonormalize", reorthonormalize)
+    steps = 5
+    runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, mode, max_iters=steps)))
+    assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
+    assert calls["redo"] >= 1
+    assert calls == {"eigh": steps, "qr": steps + calls["redo"], "eigvalsh": steps + 1,
+                     "redo": calls["redo"]}
 
 
 def test_batch_mixes_terminal_statuses():
@@ -332,7 +375,7 @@ def test_batch_mixes_terminal_statuses():
                                  seed=0).factored(),                  # unperturbed spurious
     ]
     cfg = sf.GDConfig(alpha=0.01, max_iters=4)
-    runs = list(run_rgd_batch(starts, gt, cfg))
+    runs = list(run_rgd_batch(*batch_of(starts), gt, cfg))
     assert [r.status for r in runs] == ["converged_to_X", "max_iters", "near_spurious"]
     assert [r.iters for r in runs] == [0, 4, 0]
     assert [r.records.shape for r in runs] == [(0, 4), (4, 4), (0, 4)]
@@ -353,7 +396,7 @@ def test_batch_rank_drop_names_the_step():
     with pytest.raises(RankDropError, match="at step 3$"):
         sf.run_rgd(starts[1], gt, cfg)
     with pytest.raises(RankDropError, match="at step 3$"):
-        list(run_rgd_batch(starts, gt, cfg))
+        list(run_rgd_batch(*batch_of(starts), gt, cfg))
 
 
 # --------------------------------------------------------- iteration Jacobian
@@ -421,7 +464,7 @@ def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
     ref = _fd_by_column(tup, gt, 0.7)
     # stacks of one column, of three (the last one partial at n=20 and n=40), and the default
-    for entries in (1, 3 * n**2 // 4, rgd.BLOCK_ENTRIES):
+    for entries in (1, 3 * n**2, rgd.BLOCK_ENTRIES):
         monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
         fd = sf.fd_iteration_matrix(tup, gt, 0.7)
         assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()

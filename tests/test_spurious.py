@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 import spsdflow as sf
+from spsdflow import experiments, rgd, spurious
+from spsdflow.experiments import ExperimentConfig
 from spsdflow.flows import _raw_rescaled
-from spsdflow.manifold import frob
+from spsdflow.manifold import frob, sym
 
 
 def test_make_ground_truth_deterministic():
@@ -152,3 +154,97 @@ def test_structured_perturbation_pattern():
     res = sf.retract(W, 2)
     assert not res.rank_deficient
     assert frob(res.point.dense() - W) < 1e-14   # already rank 2 and PSD
+
+
+# ------------------------------------------------------- stacked escape starts
+
+def _escape_setup(scenario, n):
+    cfg = ExperimentConfig(scenario=scenario, n=n, r=3, repeats=7, master_seed=4)
+    gt = experiments._shared_ground_truth(cfg)
+    deficit = {"escape_s_r1": 1, "escape_s_r2": 2}[scenario]
+    sp = sf.spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
+    seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
+    return cfg, gt, sp, cfg.epsilon * frob(sp.dense()), seeds
+
+
+def _seed_pair(seed):
+    rng = np.random.default_rng(seed)
+    return int(rng.integers(2**63)), int(rng.integers(2**63))
+
+
+def _assert_same_start(U, S, point):
+    assert U.tobytes() == point.U.tobytes() and S.tobytes() == point.S.tobytes()
+
+
+@pytest.mark.parametrize("scenario", ["escape_s_r1", "escape_s_r2"])
+@pytest.mark.parametrize("n", [8, 30, 100])
+def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
+    # one stack per block builds, seed by seed, what the public samplers build one at a time
+    cfg, gt, sp, radius, seeds = _escape_setup(scenario, n)
+    serial = []
+    for seed in seeds:
+        s1, s2 = _seed_pair(seed)
+        serial.append(sf.perturb_near(sf.sample_spurious_tuple(sp, gt, seed=s1), radius, seed=s2))
+    # dense sub-stacks of one matrix, of two (the last one partial), and the default
+    # (every start in one at n = 8 and 30, six and one at n = 100)
+    for entries in (n**2, 2 * n**2, rgd.BLOCK_ENTRIES):
+        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+        U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+        # laid out as the runner's stack of the points, with each U column-major as retract's:
+        # descent rounds differently on a row-major copy
+        assert (U.strides, S.strides) == tuple(x.strides for x in rgd._stack(serial))
+        assert U[0].flags.f_contiguous and serial[0].U.flags.f_contiguous
+        for i, point in enumerate(serial):
+            _assert_same_start(U[i], S[i], point)
+
+
+def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
+    cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", 30)
+    hit, calls = 2, []
+    truncate = spurious.truncate
+
+    def forced(w, V, r):                  # the first eigh's third start comes out rank-deficient
+        Vr, kept, deficient = truncate(w, V, r)
+        if not calls:
+            deficient = deficient.copy()
+            deficient[hit] = True
+        calls.append(len(w))
+        return Vr, kept, deficient
+
+    monkeypatch.setattr(spurious, "truncate", forced)
+    U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+    monkeypatch.undo()
+    assert calls == [len(seeds), 1]       # one more eigh, for the redrawn start alone
+    for i, seed in enumerate(seeds):
+        # the seed's first draw, or its second for the hit one, through the public retract
+        s1, s2 = _seed_pair(seed)
+        tup = sf.sample_spurious_tuple(sp, gt, seed=s1)
+        rng = spurious._tagged_rng(s2, tag=2)
+        for _ in range(2 if i == hit else 1):
+            E = sym(rng.standard_normal((gt.n, gt.n)))
+            E /= frob(E)
+        _assert_same_start(U[i], S[i], sf.retract(tup.factored().dense() + radius * E, 3).point)
+
+
+@pytest.mark.parametrize("entries, eighs", [(None, 3), (3 * 100**2, 5), (100**2, 13)])
+def test_escape_block_call_budget(monkeypatch, entries, eighs):
+    # a block of R starts costs ceil(R / m) dense eigh calls, m = BLOCK_ENTRIES // n**2
+    # matrices per sub-stack (6 by default at n = 100), and two QRs: fill columns and P
+    cfg = ExperimentConfig(scenario="escape_s_r1", n=100, r=5, repeats=13)
+    gt = experiments._shared_ground_truth(cfg)
+    build = experiments._starts(cfg, gt, list(range(13)))
+    if entries is not None:
+        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+    calls = {"eigh": 0, "qr": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    U, S = build(0, 13)
+    assert U.shape == (13, 100, 5)
+    assert calls == {"eigh": eighs, "qr": 2, "eigvalsh": 0}
