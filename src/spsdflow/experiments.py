@@ -26,10 +26,8 @@ from .manifold import (FactoredPoint, GroundTruth, factored_blocks, frob, residu
 from .rgd import GDConfig, _dense_stack, _stack, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
-    _haar_fill,
-    _perturbed,
+    _escape_starts,
     _tagged_rng,
-    _tuples,
     haar_orthonormal,
     make_ground_truth,
     perturb_near,  # noqa: F401 - perfbench's tracer wraps this name here
@@ -178,11 +176,7 @@ def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
 
 
 def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
-    """Block builder: the stacked starts (U, S) of seeds[lo:hi]; an escape's point and radius once.
-
-    Seed i's escape start is ``perturb_near(sample_spurious_tuple(sp, gt, s1), radius, s2)``,
-    with s1 and s2 from ``default_rng(i)``.
-    """
+    """Builder of the stacked starts (U, S) of seeds[lo:hi]; an escape's point and radius once."""
     if cfg.scenario == "example_1_1":
         return lambda lo, hi: _stack([_EXAMPLE_START] * (hi - lo))
     if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
@@ -193,9 +187,7 @@ def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
     def build(lo, hi):
         pairs = [(int(g.integers(2**63)), int(g.integers(2**63)))
                  for g in map(np.random.default_rng, seeds[lo:hi])]
-        U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in pairs]))[:2]
-        return _perturbed(U, S, radius, [_tagged_rng(s2, tag=2) for _, s2 in pairs],
-                          _dense_stack(gt.n))
+        return _escape_starts(sp, gt, radius, pairs, _dense_stack(gt.n))
     return build
 
 

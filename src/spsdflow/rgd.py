@@ -209,7 +209,7 @@ def _run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
     """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
-    the last, whose stacked starts (U, S) ``build(lo, hi)`` gives when the block is taken in; no
+    the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
     run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
     whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
     ``advance``.  Yields per run its status, its rows (x from 0 in each block, dist, sigma_r,

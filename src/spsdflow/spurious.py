@@ -219,6 +219,13 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint
     return FactoredPoint(U[0], S[0])
 
 
+def _escape_starts(sp: SpuriousPoint, gt: GroundTruth, epsilon: float, seeds: list, stack: int
+                   ) -> tuple:
+    """Stacked (U, S): ``perturb_near(sample_spurious_tuple(sp, gt, s1), epsilon, s2)`` per pair."""
+    U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in seeds]))[:2]
+    return _perturbed(U, S, epsilon, [_tagged_rng(s2, tag=2) for _, s2 in seeds], stack)
+
+
 def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, stack: int,
                draws: int = 16) -> tuple:
     """Stacked (U, S) of :func:`perturb_near` at the tuples (U, S), one generator each.

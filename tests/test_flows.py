@@ -389,11 +389,12 @@ def test_observed_factors_stay_orthonormal_and_symmetric(kind, n, data):
     if kind in ("fixed", "varying"):
         # a step below 1 keeps the retained core positive definite
         alpha = data.draw(st.floats(0.05, 0.9), label="alpha") / (1.5 * r if kind == "varying" else 1)
-        list(rgd.run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(alpha, kind, max_iters=200), observe))
+        cfg = sf.GDConfig(alpha, kind, max_iters=200)
+        list(rgd.run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     else:
         dt = data.draw(st.floats(2e-3, 1e-2), label="dt")      # larger steps may drift too far
-        list(_integrate_batch(kind, *batch_of(starts), gt, data.draw(st.floats(0.02, 0.5), label="t_end"),
-                              sf.StepControls(dt=dt), observe))
+        t_end = data.draw(st.floats(0.02, 0.5), label="t_end")
+        list(_integrate_batch(kind, *batch_of(starts), gt, t_end, sf.StepControls(dt=dt), observe))
     assert seen
 
 

@@ -348,6 +348,8 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
             return fn(*args, **kwargs)
         return wrapper
 
+    redo = rgd._reorthonormalize
+
     def reorthonormalize(U, S, tol):
         drift = redo(U, S, tol)
         calls["redo"] += bool((drift > tol).any())
@@ -355,7 +357,6 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
 
     for name in ("eigh", "qr", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    redo = rgd._reorthonormalize
     monkeypatch.setattr(rgd, "_reorthonormalize", reorthonormalize)
     steps = 5
     runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, mode, max_iters=steps)))
