@@ -19,11 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from . import _runner
 from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
 from .manifold import (FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms,
                        target_spectrum)
-from .rgd import GDConfig, _dense_stack, _stack, run_rgd_batch
+from .rgd import GDConfig, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
     _escape_starts,
@@ -97,8 +98,9 @@ class ExperimentConfig:
         if self.scenario.startswith("escape") and not 0 < self.epsilon < np.inf:
             raise ValueError("escape scenarios require a positive finite epsilon")
         deficit = _ESCAPE_DEFICIT.get(self.scenario, 0)
-        if self.r < deficit or self.n - self.r < deficit:
-            raise ValueError(f"escape from rank deficit {deficit} needs r, n - r >= {deficit}")
+        if self.r <= deficit or self.n - self.r < deficit:   # at r = deficit the point is zero
+            raise ValueError(f"escape from rank deficit {deficit} needs n - r >= {deficit} and "
+                             f"r > {deficit}, else the spurious point is the zero matrix")
         if not 0 <= self.t_end < np.inf:
             raise ValueError("t_end must be finite and nonnegative")
         eig = self.eigenvalues
@@ -178,17 +180,12 @@ def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:
 def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
     """Builder of the stacked starts (U, S) of seeds[lo:hi]; an escape's point and radius once."""
     if cfg.scenario == "example_1_1":
-        return lambda lo, hi: _stack([_EXAMPLE_START] * (hi - lo))
+        return lambda lo, hi: _runner.stack([_EXAMPLE_START] * (hi - lo))
     if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
-        return lambda lo, hi: _stack([_random_point(gt, seed) for seed in seeds[lo:hi]])
+        return lambda lo, hi: _runner.stack([_random_point(gt, seed) for seed in seeds[lo:hi]])
     sp = spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
     radius = cfg.epsilon * frob(sp.dense())
-
-    def build(lo, hi):
-        pairs = [(int(g.integers(2**63)), int(g.integers(2**63)))
-                 for g in map(np.random.default_rng, seeds[lo:hi])]
-        return _escape_starts(sp, gt, radius, pairs, _dense_stack(gt.n))
-    return build
+    return lambda lo, hi: _escape_starts(sp, gt, radius, seeds[lo:hi])
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:

@@ -21,6 +21,7 @@ from typing import ClassVar
 
 import numpy as np
 
+from . import _runner
 from .manifold import (
     FactoredPoint,
     GroundTruth,
@@ -34,7 +35,6 @@ from .manifold import (
     relative_spectrum,
     sym,
 )
-from .rgd import _reorthonormalize, _run_blocks, _stack
 from .spurious import SpuriousTuple
 
 
@@ -234,7 +234,7 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     """
     seen = []                              # (U, S) of each point before it steps
     status, records, U, S = next(_integrate_batch(
-        system, 1, lambda lo, hi: _stack([init]), gt, t_end, controls,
+        system, 1, lambda lo, hi: _runner.stack([init]), gt, t_end, controls,
         lambda t, ids, U, S: seen.append((U[0], S[0]))))
     return FlowResult(records, status, _init=init, _factors=(seen + [(U, S)])[1:])
 
@@ -243,7 +243,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
                      controls: StepControls | None = None, observe=None):
     """:func:`integrate` from ``count`` starts as one batch, whose runs share the flow time.
 
-    Yields ``(status, records, U, S)`` per run from :func:`spsdflow.rgd._run_blocks`.
+    Yields ``(status, records, U, S)`` per run from :func:`spsdflow._runner.run_blocks`.
     """
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
@@ -265,13 +265,13 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
-        drift = _reorthonormalize(U, S, TAU_ORTH)
+        drift = _runner.reorthonormalize(U, S, TAU_ORTH)
         if (drift > MAX_DRIFT).any():
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")
         return t + h, U, S
 
-    return _run_blocks(count, build, gt, stop, advance, observe)
+    return _runner.run_blocks(count, build, gt, stop, advance, observe)
 
 
 @dataclass
@@ -316,27 +316,8 @@ class RescaledFlowJacobian:
         u_miss = self.tup.point.U_miss[:, 0]
         return np.outer(u_miss, self.tup.null_vec), np.zeros((self.r, self.r))
 
-    def matrix(self) -> np.ndarray:
-        """Matrixization over the n*r U-block plus the (zero) symmetric S-block.
-
-        :meth:`spectrum` reads the same eigenvalues from an n x n compression; this
-        full matrix is its reference.
-
-        With W = X U p p^T and PX = (I - U U^T) X, the U-block on row-major
-        vec(xi_U) is kron(PX, p p^T) - kron(I_n, (U^T W)^T) - T, where the
-        xi_U^T term gives T[(i, j), (l, k)] = U[i, k] W[l, j].
-        """
-        n, r = self.n, self.r
-        U, X = self.tup.U, self.gt.dense()
-        W = self._XU @ self._pp
-        T = np.einsum("ik,lj->ijlk", U, W).reshape(n * r, n * r)
-        out = np.zeros((n * r + r * (r + 1) // 2,) * 2)
-        out[:n * r, :n * r] = (np.kron(X - U @ (U.T @ X), self._pp)
-                               - np.kron(np.eye(n), (U.T @ W).T) - T)
-        return out
-
     def spectrum(self, positive_tol: float = 1e-8) -> SpectrumReport:
-        """Eigenvalues of :meth:`matrix`, sorted by descending real part, from an n x n compression.
+        """Eigenvalues of the operator, sorted by descending real part, from an n x n compression.
 
         Every image dF = [...] p p^T (see the class docstring) lies in the n-dimensional
         subspace {y p^T}, and with u = U p the operator maps it as dF(y p^T) = (M y) p^T,

@@ -252,12 +252,20 @@ class RetractionResult(NamedTuple):
 def truncate(w: np.ndarray, V: np.ndarray, r: int) -> tuple:
     """Keep the r largest pairs of an ascending ``eigh`` (one matrix or a stack), largest first.
 
-    Returns (V_r, kept, deficient): a view of V, the values clamped at +0.0, and whether the
-    r-th largest value's entry of ``relative_spectrum(w)`` is at most ``TAU_RANK`` (or negative).
+    Returns (V_r, S, deficient): a view of V, the diagonal core of the values clamped at +0.0,
+    and whether the r-th largest value's ``relative_spectrum(w)`` entry is at most ``TAU_RANK``.
     """
-    kept = np.maximum(w[..., ::-1][..., :r], 0.0)
+    S = np.zeros(w.shape[:-1] + (r, r))
+    S.reshape(-1, r * r)[:, ::r + 1] = np.maximum(w[..., ::-1][..., :r], 0.0)   # diag per matrix
     deficient = relative_spectrum(w)[..., -r] <= TAU_RANK
-    return V[..., ::-1][..., :r], kept, deficient
+    return V[..., ::-1][..., :r], S, deficient
+
+
+def _dense_retract(W: np.ndarray, r: int) -> tuple:
+    """Unchecked :func:`retract` of a symmetric W or a stack: (U, S, deficient), S diagonal."""
+    V, S, deficient = truncate(*np.linalg.eigh(W), r)
+    # Column-major U: factored_blocks' products round differently on a row-major copy.
+    return mT(mT(V).copy()), S, deficient
 
 
 def retract(W: np.ndarray, r: int) -> RetractionResult:
@@ -271,9 +279,8 @@ def retract(W: np.ndarray, r: int) -> RetractionResult:
     W = sym(_finite("W", W))
     if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 < r <= W.shape[0]:
         raise ValueError("r must be an int from 1 to the size of W")
-    V, kept, deficient = truncate(*np.linalg.eigh(W), r)
-    # Column-major U: factored_blocks' products round differently on a row-major copy.
-    return RetractionResult(FactoredPoint(np.asfortranarray(V), np.diag(kept)), bool(deficient))
+    U, S, deficient = _dense_retract(W, r)
+    return RetractionResult(FactoredPoint(U, S), bool(deficient))
 
 
 def riem_gradient(point: FactoredPoint, gt: GroundTruth) -> np.ndarray:

@@ -19,6 +19,7 @@ from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
+from . import _runner
 from .manifold import (
     EigenFrame,
     FactoredPoint,
@@ -27,12 +28,11 @@ from .manifold import (
     TAU_GRAD,
     TAU_ORTH,
     TangentParam,
+    _dense_retract,
     complement_basis,
     factored_blocks,
     manifold_dim,
     mT,
-    orth_defect,
-    residual_norms,
     retract,  # noqa: F401 - perfbench/tracer.py wraps rgd.retract
     sym,
     truncate,
@@ -98,22 +98,10 @@ def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     K[:, :r, :r] = S - a * (S - A)
     K[:, r:, :r] = a * Rb
     K[:, :r, r:] = mT(K[:, r:, :r])
-    V, lam, deficient = truncate(*np.linalg.eigh(K), r)
+    V, S_new, deficient = truncate(*np.linalg.eigh(K), r)
     U_new = np.concatenate([U, Q], axis=2) @ V
-    S_new = np.zeros((R, r, r))
-    S_new.reshape(R, r * r)[:, ::r + 1] = lam  # diag(lam) per run
-    _reorthonormalize(U_new, S_new, 0.1 * TAU_ORTH)   # drift control over long runs
+    _runner.reorthonormalize(U_new, S_new, 0.1 * TAU_ORTH)   # drift control over long runs
     return U_new, S_new, deficient
-
-
-def _reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
-    """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
-    drift = orth_defect(U)
-    redo = drift > tol
-    if redo.any():
-        U[redo], R = np.linalg.qr(U[redo])
-        S[redo] = sym(R @ S[redo] @ mT(R))
-    return drift
 
 
 def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RetractionResult:
@@ -163,31 +151,14 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
     below ``tol_dist`` up to rounding.  This is :func:`run_rgd_batch` with a
     batch of one.
     """
-    return next(run_rgd_batch(1, lambda lo, hi: _stack([init]), gt, cfg))
-
-
-# Factor entries per stacked block of runs (131 at n=100, r=5), and dense n x n
-# entries per stacked call (_dense_stack).  The 400 escape runs at n=100, r=5 took
-# 1.48, 1.54, 1.39 and 1.48 reference s at 2**14, 2**15, 2**16 and 2**17 (medians of
-# 8 interleaved rounds, two-core VM, one BLAS thread) and peaked at 42, 44, 46, 50 MB.
-BLOCK_ENTRIES = 2**16
-
-
-def _dense_stack(n: int) -> int:
-    """Dense n x n matrices per stacked call: escape starts' retractions, FD-oracle columns."""
-    return max(1, BLOCK_ENTRIES // n**2)
-
-
-def _stack(points) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked factors (U, S) of the points, as a block builder returns them."""
-    return np.stack([p.U for p in points]), np.stack([p.S for p in points])
+    return next(run_rgd_batch(1, lambda lo, hi: _runner.stack([init]), gt, cfg))
 
 
 def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
                   observe: Callable | None = None) -> Iterator[RgdRun]:
     """Run descent from ``count`` starts together against the shared target.
 
-    Yields each run in start order, bit for bit its :func:`run_rgd` run, on :func:`_run_blocks`
+    Yields each run in start order, bit for bit its :func:`run_rgd` run, on the block runner
     (``build``, ``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
     """
     def stop(k, dist, sigma, grad):
@@ -200,51 +171,8 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
             raise RankDropError(f"iterate left the manifold at step {k}")
         return k + 1, U, S
 
-    for status, rows, U, S in _run_blocks(count, build, gt, stop, advance, observe):
+    for status, rows, U, S in _runner.run_blocks(count, build, gt, stop, advance, observe):
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
-
-
-def _run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
-                advance: Callable, observe: Callable | None) -> Iterator[tuple]:
-    """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
-
-    Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
-    the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
-    run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
-    whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
-    ``advance``.  Yields per run its status, its rows (x from 0 in each block, dist, sigma_r,
-    grad_norm) to the terminal point, and its factors.
-    """
-    cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
-    lo = 0                                # index of the block's first start
-    while lo < count:
-        hi = count if 2 * (count - lo) <= 3 * cap else lo + cap
-        U, S = build(lo, hi)
-        ids = np.arange(lo, hi)           # start index of each stacked run
-        lo = hi
-        ends = {}
-        log = []                          # rows (id, x, dist, sigma, grad) per point
-        x = 0
-        while True:
-            A, B, C = factored_blocks(U, gt)
-            dist, grad = residual_norms(U, S, A, B, C, gt.d)
-            sigma = np.linalg.eigvalsh(S)[:, 0]
-            log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad]))
-            done = np.zeros(ids.size, dtype=bool)
-            for mask, status in stop(x, dist, sigma, grad):
-                for j in np.flatnonzero(mask & ~done):
-                    ends[ids[j]] = (status, U[j], S[j])
-                done |= mask
-            if done.all():
-                break
-            if done.any():
-                U, S, A, B, ids, sigma = (v[~done] for v in (U, S, A, B, ids, sigma))
-            if observe is not None:
-                observe(x, ids, U, S)
-            x, U, S = advance(x, U, S, A, B, sigma)
-        rows = np.concatenate(log)
-        for i, (status, U, S) in sorted(ends.items()):
-            yield status, rows[rows[:, 0] == i, 1:], U, S
 
 
 def tangent_coordinate_basis(frame: EigenFrame) -> list[TangentParam]:
@@ -356,10 +284,8 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     The map is only differentiable on the manifold interior, so the
     differential is sampled at the full-rank point Z(eps), the tuple core
     inflated by eps.  Central differences run through the dense retraction
-    and :func:`rgd_step`'s arithmetic, in stacks of at most
-    ``_dense_stack(n)`` columns (40 at n=40, 512 KB per stack of dense
-    n x n directions; larger stacks were no faster there and cost peak
-    memory), and are expressed in the tangent coordinates of
+    and :func:`rgd_step`'s arithmetic, in stacks of ``dense_stack(n)``
+    columns, and are expressed in the tangent coordinates of
     :func:`iteration_jacobian` (the eigen-frame that the tuple and Z(eps)
     share).  Each stack's directions are built from its coordinate rows in
     one call, and its differences are converted back to coordinates in one
@@ -372,17 +298,16 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
 
     def step_dense(W):
-        V, kept, _ = truncate(*np.linalg.eigh(W), tup.r)
-        U, S = mT(mT(V).copy()), kept[..., None] * np.eye(tup.r)   # U column-major, as retract's
+        U, S, _ = _dense_retract(W, tup.r)
         A, B, _ = factored_blocks(U, gt)
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
         return sym(U @ S @ mT(U))
 
     basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))
-    stack = _dense_stack(tup.n)
+    size = _runner.dense_stack(tup.n)
     cols = []
-    for lo in range(0, len(basis), stack):
-        directions = _from_coordinates(frame, basis[lo:lo + stack]).to_ambient()
+    for lo in range(0, len(basis), size):
+        directions = _from_coordinates(frame, basis[lo:lo + size]).to_ambient()
         diff = fd_directional(step_dense, Z0, directions, h)
         cols.append(tangent_coordinates(TangentParam.from_ambient(frame, diff)))
     return np.concatenate(cols).T

@@ -14,11 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _runner
 from .manifold import (
     FactoredPoint,
     GroundTruth,
     TAU_ORTH,
     _Columns,
+    _dense_retract,
     _freeze,
     complement_basis,
     frob,
@@ -26,7 +28,6 @@ from .manifold import (
     retract,  # noqa: F401 - perfbench/tracer.py wraps spurious.retract
     sym,
     target_spectrum,
-    truncate,
 )
 
 
@@ -215,35 +216,36 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
     event) are resampled, up to 16 draws in all.
     """
-    U, S = _perturbed(tup.U[None], tup.S[None], epsilon, [_tagged_rng(seed, tag=2)], 1)
+    U, S = _perturbed(tup.U[None], tup.S[None], epsilon, [_tagged_rng(seed, tag=2)])
     return FactoredPoint(U[0], S[0])
 
 
-def _escape_starts(sp: SpuriousPoint, gt: GroundTruth, epsilon: float, seeds: list, stack: int
-                   ) -> tuple:
-    """Stacked (U, S): ``perturb_near(sample_spurious_tuple(sp, gt, s1), epsilon, s2)`` per pair."""
-    U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in seeds]))[:2]
-    return _perturbed(U, S, epsilon, [_tagged_rng(s2, tag=2) for _, s2 in seeds], stack)
+def _escape_starts(sp: SpuriousPoint, gt: GroundTruth, epsilon: float, seeds: list) -> tuple:
+    """Stacked (U, S): ``perturb_near(sample_spurious_tuple(sp, gt, s1), epsilon, s2)`` per seed."""
+    pairs = [(int(g.integers(2**63)), int(g.integers(2**63)))     # (s1, s2) of each run seed
+             for g in map(np.random.default_rng, seeds)]
+    U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in pairs]))[:2]
+    return _perturbed(U, S, epsilon, [_tagged_rng(s2, tag=2) for _, s2 in pairs])
 
 
-def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, stack: int,
-               draws: int = 16) -> tuple:
+def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, draws: int = 16
+               ) -> tuple:
     """Stacked (U, S) of :func:`perturb_near` at the tuples (U, S), one generator each.
 
-    Sub-stacks of ``stack`` dense W = sym(U S U^T) + epsilon E are built in one buffer for one
-    ``eigh``; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
+    Sub-stacks of ``dense_stack(n)`` dense W = sym(U S U^T) + epsilon E are built in one buffer
+    for one retraction; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
     """
     if not 0 < epsilon < np.inf:
         raise ValueError("epsilon must be positive and finite")
     if not draws:
         raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
     R, n, r = U.shape
+    size = _runner.dense_stack(n)
     US = U @ S
-    U_out, S_out = mT(np.empty((R, r, n))), np.zeros((R, r, r))   # column-major U, as retract's
-    deficient = np.empty(R, dtype=bool)
-    buf = np.empty((min(stack, R), n, n))
-    for lo in range(0, R, stack):
-        hi = min(lo + stack, R)
+    buf = np.empty((min(size, R), n, n))
+    parts = []                            # (U, S, deficient) per sub-stack
+    for lo in range(0, R, size):
+        hi = min(lo + size, R)
         W = np.matmul(US[lo:hi], mT(U[lo:hi]), out=buf[:hi - lo])
         W += mT(W)                        # sym(U S U^T) in place
         W *= 0.5
@@ -252,10 +254,10 @@ def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, stack: 
             E /= frob(E)
             w += epsilon * E
         del E                             # before eigh's own copies: peak memory at large n
-        U_out[lo:hi], kept, deficient[lo:hi] = truncate(*np.linalg.eigh(W), r)
-        S_out.reshape(R, r * r)[lo:hi, ::r + 1] = kept   # diag(kept) per start
+        parts.append(_dense_retract(W, r))
+    U_out, S_out, deficient = (np.concatenate(v) for v in zip(*parts))   # keeps U's layout
     if deficient.any():                   # such a start draws again from its generator
         redo = np.flatnonzero(deficient)
         U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], epsilon, [rngs[i] for i in redo],
-                                              stack, draws - 1)
+                                              draws - 1)
     return U_out, S_out

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import cli, experiments, rgd
+from spsdflow import _runner, cli, experiments
 from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, SummaryReport,
                                   _pointwise_stats, _random_point, _shared_ground_truth,
@@ -48,9 +48,9 @@ _positive = st.floats(min_value=1e-6, max_value=1e6)
 
 @st.composite
 def valid_configs(draw):
-    """Any valid configuration: every scenario, n - r and r at least 2 (escape from deficit two)."""
-    n = draw(st.integers(4, 40))
-    r = draw(st.integers(2, n - 2))
+    """Any valid configuration: every scenario, n - r >= 2 and r >= 3 (escape from deficit two)."""
+    n = draw(st.integers(5, 40))
+    r = draw(st.integers(3, n - 2))
     eigenvalues = draw(st.none() | st.lists(_positive, min_size=r, max_size=r, unique=True))
     return ExperimentConfig(
         scenario=draw(st.sampled_from(SCENARIOS)), n=n, r=r,
@@ -197,23 +197,37 @@ def _read_csvs(root: Path) -> dict:
     return {k: v for k, v in _read_all(root).items() if k.endswith(".csv")}
 
 
+def _record_blocks(m, blocks):
+    """Have every experiment's start builder append the (lo, hi) of each block it builds."""
+    starts = experiments._starts
+
+    def recorded(*args):
+        build = starts(*args)
+        return lambda lo, hi: blocks.append((lo, hi)) or build(lo, hi)
+    m.setattr(experiments, "_starts", recorded)
+
+
 def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
     for name, fields in (("descent", {}), ("flow", {"scenario": "flow_rescaled", "t_end": 0.3})):
         a, b, c, d = (tmp_path / name / x for x in "abcd")
         sf.run_experiment(small_cfg(repeats=5, out_dir=str(a), **fields))
-        sf.run_experiment(small_cfg(repeats=5, out_dir=str(b), **fields))
+        sf.run_experiment(small_cfg(repeats=5, out_dir=str(b), workers=2, **fields))  # 3, 2 seeds
+        # in this process, where the patch and the blocks it gives can be seen
         with monkeypatch.context() as m:
-            m.setattr(rgd, "BLOCK_ENTRIES", 24 * 3)          # blocks of one run
-            sf.run_experiment(small_cfg(repeats=5, out_dir=str(c), workers=2, **fields))
+            blocks = []
+            _record_blocks(m, blocks)
+            m.setattr(_runner, "BLOCK_ENTRIES", 24 * 3)          # blocks of one run
+            sf.run_experiment(small_cfg(repeats=5, out_dir=str(c), **fields))
+        assert blocks == [(i, i + 1) for i in range(5)]
         sf.run_experiment(small_cfg(repeats=5, out_dir=str(d), workers=3, **fields))  # 2, 2, 1 seeds
         fa, fb, fc, fd = _read_csvs(a), _read_csvs(b), _read_csvs(c), _read_csvs(d)
         # identical data regardless of output directory, parallelism degree, chunks or blocks
         assert fa == fb == fc == fd
-        ja, jc, jd = (json.loads((x / "summary.json").read_text()) for x in (a, c, d))
-        for j in (ja, jc, jd):
+        ja, jb, jc, jd = (json.loads((x / "summary.json").read_text()) for x in (a, b, c, d))
+        for j in (ja, jb, jc, jd):
             j["config"].pop("out_dir")
             j["config"].pop("workers")
-        assert ja == jc == jd
+        assert ja == jb == jc == jd
 
 
 def test_import_leaves_the_process_pool_unloaded():
@@ -250,8 +264,13 @@ def test_outputs_are_byte_identical_across_block_sizes(scenario, repeats, cap):
         one, split = Path(tmp, "one"), Path(tmp, "split")
         sf.run_experiment(dataclasses.replace(cfg, out_dir=str(one)))
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(rgd, "BLOCK_ENTRIES", cap * cfg.n * cfg.r)
+            blocks = []
+            _record_blocks(m, blocks)
+            m.setattr(_runner, "BLOCK_ENTRIES", cap * cfg.n * cfg.r)
             sf.run_experiment(dataclasses.replace(cfg, out_dir=str(split)))
+        sizes = [hi - lo for lo, hi in blocks]
+        assert sizes[:-1] == [cap] * (len(sizes) - 1) and sum(sizes) == repeats
+        assert 2 * sizes[-1] <= 3 * cap and (len(sizes) == 1 or 2 * sizes[-1] > cap)
         assert len(_read_csvs(one)) == repeats + 1
         assert _read_csvs(one) == _read_csvs(split)
 
@@ -342,6 +361,8 @@ def test_cli_exit_codes(tmp_path):
     ["flow-dlra", "--dt", "inf"],
     ["global-fixed", "--seed", "-1"],
     ["escape-s-r1", "--n", "20", "--r", "3", "--eigenvalues", ""],
+    ["escape-s-r1", "--n", "8", "--r", "1"],            # the spurious point would be zero
+    ["escape-s-r2", "--n", "8", "--r", "2"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import rgd
+from spsdflow import _runner, rgd
 from spsdflow.experiments import _random_point
 from spsdflow.flows import (
     EigenGapError,
@@ -196,6 +196,21 @@ def test_integrate_zero_horizon():
     assert res.states[0].point is init
 
 
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_first_stop_rule_that_holds_wins(system):
+    # with t_end=0 and tau_conv above the start's gradient norm, the horizon and the
+    # convergence rule both hold at t = 0, and t_end, first in order, ends the run; with
+    # a later horizon, convergence wins over dlra's sigma floor at a start below the floor
+    gt = small_instance(8)
+    rng = np.random.default_rng(4)
+    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.5, 1e-13]))
+    ctl = sf.StepControls(tau_conv=2 * sf.gradient_norm(init, gt))
+    res = sf.integrate(system, init, gt, 0.0, ctl)
+    assert (res.status, len(res.records)) == ("t_end", 1)
+    res = sf.integrate(system, init, gt, 1.0, ctl)
+    assert (res.status, len(res.records)) == ("converged", 1)
+
+
 def test_rescaled_step_decomposes_each_core_once(monkeypatch):
     # one eigh per RK4 stage gives both S^-1 sigma_min and sigma_min, one
     # eigvalsh per logged point gives sigma_r, and states wait until read
@@ -329,9 +344,10 @@ def test_step_controls_reject_nonpositive_dt(dt):
         sf.StepControls(dt=dt)
 
 
-def batch_of(points):
-    """(count, build) of a batch that starts from the given points."""
-    return len(points), lambda lo, hi: rgd._stack(points[lo:hi])
+def batch_of(points, blocks=None):
+    """(count, build) of a batch from the given points; ``blocks`` gets each block's (lo, hi)."""
+    blocks = [] if blocks is None else blocks
+    return len(points), lambda lo, hi: blocks.append((lo, hi)) or _runner.stack(points[lo:hi])
 
 
 def _mixed_flow_starts():
@@ -359,9 +375,12 @@ def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses)
     assert {res.status for res in alone} == statuses
     assert len({len(res.records) for res in alone}) > 2   # runs leave the stack at different steps
     # blocks of one run, of two and three (the tail run joins the last block), and all five
-    for entries in (gt.n * gt.r, 2 * gt.n * gt.r, rgd.BLOCK_ENTRIES):
-        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
-        runs = list(_integrate_batch(system, *batch_of(starts), gt, 3.0, ctl))
+    for entries, sizes in ((gt.n * gt.r, [(i, i + 1) for i in range(5)]),
+                           (2 * gt.n * gt.r, [(0, 2), (2, 5)]), (_runner.BLOCK_ENTRIES, [(0, 5)])):
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
+        blocks = []
+        runs = list(_integrate_batch(system, *batch_of(starts, blocks), gt, 3.0, ctl))
+        assert blocks == sizes
         for (status, records, U, S), ref in zip(runs, alone, strict=True):
             assert status == ref.status
             assert np.array_equal(records, ref.records)
@@ -424,6 +443,23 @@ def test_rescaled_jacobian_core_block_vanishes():
     assert frob(dF) == 0.0 and frob(dH) == 0.0
 
 
+def _full_matrix(J):
+    """J's matrixization over the n*r U-block plus the (zero) symmetric S-block.
+
+    With W = X U p p^T and PX = (I - U U^T) X, the U-block on row-major
+    vec(xi_U) is kron(PX, p p^T) - kron(I_n, (U^T W)^T) - T, where the
+    xi_U^T term gives T[(i, j), (l, k)] = U[i, k] W[l, j].
+    """
+    n, r = J.n, J.r
+    U, X = J.tup.U, J.gt.dense()
+    pp = np.outer(J.tup.null_vec, J.tup.null_vec)
+    W = J.gt.apply(U) @ pp
+    T = np.einsum("ik,lj->ijlk", U, W).reshape(n * r, n * r)
+    out = np.zeros((n * r + r * (r + 1) // 2,) * 2)
+    out[:n * r, :n * r] = np.kron(X - U @ (U.T @ X), pp) - np.kron(np.eye(n), (U.T @ W).T) - T
+    return out
+
+
 @pytest.mark.parametrize("n, r", [(5, 1), (8, 3), (12, 5), (40, 5)])
 def test_rescaled_spectrum_equals_the_matrix_eigenvalues(n, r):
     # spectrum() reads eig of an n x n compression padded with zeros; the full
@@ -436,7 +472,7 @@ def test_rescaled_spectrum_equals_the_matrix_eigenvalues(n, r):
               for miss in range(r)]
     for J in [sf.rescaled_jacobian(tup, g) for tup, g in zip(tuples + tuples[:1], [gt] * r + [other])]:
         rep = J.spectrum()
-        ref = np.linalg.eigvals(J.matrix())
+        ref = np.linalg.eigvals(_full_matrix(J))
         tol = 1e-12 * max(1.0, J.gt.d.max())
         assert rep.eigenvalues.shape == ref.shape
         assert np.all(np.diff(rep.eigenvalues.real) <= 0)
@@ -461,7 +497,7 @@ def test_rescaled_jacobian_matrix_is_the_operator(n, r, mask):
     gt = sf.make_ground_truth(n, r, list(range(r, 0, -1)), seed=17)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, mask), gt, 2)
     J = sf.rescaled_jacobian(tup, gt)
-    mat = J.matrix()
+    mat = _full_matrix(J)
     rng = np.random.default_rng(9)
     for _ in range(3):
         xiU = rng.standard_normal((n, r))

@@ -1,10 +1,11 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import spsdflow as sf
-from spsdflow import rgd
+from spsdflow import _runner, experiments, rgd
 from spsdflow.experiments import ExperimentConfig
 from spsdflow.manifold import factored_blocks, frob, residual_norms, sym
 from spsdflow.rgd import RankDropError, run_rgd_batch
@@ -208,9 +209,10 @@ def test_fd_iteration_matrix_rejects_invalid_eps(eps):
 
 # ------------------------------------------------------------ batched runs
 
-def batch_of(points):
-    """(count, build) of a batch that starts from the given points."""
-    return len(points), lambda lo, hi: rgd._stack(points[lo:hi])
+def batch_of(points, blocks=None):
+    """(count, build) of a batch from the given points; ``blocks`` gets each block's (lo, hi)."""
+    blocks = [] if blocks is None else blocks
+    return len(points), lambda lo, hi: blocks.append((lo, hi)) or _runner.stack(points[lo:hi])
 
 
 def _escape_starts(gt, count):
@@ -231,15 +233,17 @@ def test_batched_runs_equal_single_runs_bitwise(monkeypatch, mode, alpha):
     alone = [sf.run_rgd(init, gt, cfg) for init in starts]
     assert len({run.iters for run in alone}) > 1   # runs leave the stack at different steps
     # one block of five runs, then a block of two and one of three (the tail run joins it)
-    for entries in (rgd.BLOCK_ENTRIES, 2 * gt.n * gt.r):
-        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
-        for run, ref in zip(run_rgd_batch(*batch_of(starts), gt, cfg), alone, strict=True):
+    for entries, sizes in ((_runner.BLOCK_ENTRIES, [(0, 5)]), (2 * gt.n * gt.r, [(0, 2), (2, 5)])):
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
+        blocks = []
+        for run, ref in zip(run_rgd_batch(*batch_of(starts, blocks), gt, cfg), alone, strict=True):
             assert (run.status, run.iters) == (ref.status, ref.iters)
             assert np.array_equal(run.records, ref.records)
             assert ((run.terminal_dist, run.terminal_sigma_r, run.terminal_grad_norm)
                     == (ref.terminal_dist, ref.terminal_sigma_r, ref.terminal_grad_norm))
             assert np.array_equal(run.point.U, ref.point.U)
             assert np.array_equal(run.point.S, ref.point.S)
+        assert blocks == sizes
 
 
 def _observed_escape_runs(monkeypatch):
@@ -247,7 +251,7 @@ def _observed_escape_runs(monkeypatch):
     gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=13)
     starts = _escape_starts(gt, 5)
     cfg = sf.GDConfig(alpha=0.2, max_iters=5000)
-    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * gt.n * gt.r)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", 2 * gt.n * gt.r)
     seen = {}                                 # start index -> [(k, dist at U, S)]
     blocks = []                               # the ids of each block at its first step
 
@@ -290,8 +294,15 @@ def test_example_limit_distances_do_not_depend_on_blocks(monkeypatch):
     # the single run's column whichever block it descends in
     cfg = ExperimentConfig(scenario="example_1_1", alpha=0.3, repeats=1)
     col = sf.run_experiment(cfg).runs[0].records[:, -1]
-    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", 2 * 3 * 2)           # blocks of two and three
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", 2 * 3 * 2)           # blocks of two and three
+    starts, blocks = experiments._starts, []
+
+    def recorded(*args):
+        build = starts(*args)
+        return lambda lo, hi: blocks.append((lo, hi)) or build(lo, hi)
+    monkeypatch.setattr(experiments, "_starts", recorded)
     report = sf.run_experiment(dataclasses.replace(cfg, repeats=5))
+    assert blocks == [(0, 2), (2, 5)]
     assert len(col) > 10
     for run in report.runs:
         assert run.columns[-1] == "dist_limit"
@@ -310,12 +321,12 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
     gt = sf.make_ground_truth(4, 1, [1.0], seed=0)
     rng = np.random.default_rng(1)          # not the target's stream
     points = [sf.FactoredPoint(sf.haar_orthonormal(rng, 4, 1), np.eye(1)) for _ in range(count)]
-    monkeypatch.setattr(rgd, "BLOCK_ENTRIES", cap * 4)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", cap * 4)
     events = []
 
     def build(lo, hi):
         events.append(("build", lo, hi))
-        return rgd._stack(points[lo:hi])
+        return _runner.stack(points[lo:hi])
 
     def observe(k, ids, U, S):
         events.append(len(ids))
@@ -348,7 +359,7 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
             return fn(*args, **kwargs)
         return wrapper
 
-    redo = rgd._reorthonormalize
+    redo = _runner.reorthonormalize       # looked up in the runner by descent and flows
 
     def reorthonormalize(U, S, tol):
         drift = redo(U, S, tol)
@@ -357,13 +368,27 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
 
     for name in ("eigh", "qr", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(rgd, "_reorthonormalize", reorthonormalize)
+    monkeypatch.setattr(_runner, "reorthonormalize", reorthonormalize)
     steps = 5
     runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, mode, max_iters=steps)))
     assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
     assert calls["redo"] >= 1
     assert calls == {"eigh": steps, "qr": steps + calls["redo"], "eigvalsh": steps + 1,
                      "redo": calls["redo"]}
+
+
+@pytest.mark.parametrize("at, status", [("target", "converged_to_X"),
+                                        ("spurious", "near_spurious")])
+def test_first_stop_rule_that_holds_wins(at, status):
+    # at the target all three rules hold at step 0 with max_iters=0, at an unperturbed
+    # spurious point the last two: the first in order (converged_to_X, near_spurious,
+    # max_iters) ends the run
+    gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
+    start = {"target": sf.FactoredPoint(gt.U, np.diag(gt.d)),
+             "spurious": sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt,
+                                                  seed=0).factored()}[at]
+    run = sf.run_rgd(start, gt, sf.GDConfig(alpha=0.1, max_iters=0))
+    assert (run.status, run.iters, len(run.records)) == (status, 0, 0)
 
 
 def test_batch_mixes_terminal_statuses():
@@ -459,16 +484,59 @@ def _fd_by_column(tup, gt, alpha, eps=1e-5, h=1e-8):
     return np.array(cols).T
 
 
+def _count_linalg(monkeypatch, *names):
+    """Count the calls of the np.linalg functions by (name, length of the argument's last axis)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name, a.shape[-1]] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+    for name in names:
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    return calls
+
+
 @pytest.mark.parametrize("n, r", [(8, 3), (20, 4), (40, 5)])
 def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
     gt = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=21)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
     ref = _fd_by_column(tup, gt, 0.7)
+    calls = _count_linalg(monkeypatch, "eigh")
     # stacks of one column, of three (the last one partial at n=20 and n=40), and the default
-    for entries in (1, 3 * n**2, rgd.BLOCK_ENTRIES):
-        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+    # (every column in one at n=8 and 20, five stacks of 40 columns at n=40, the last partial)
+    default = {8: 1024, 20: 163, 40: 40}[n]
+    for entries, m in ((1, 1), (3 * n**2, 3), (_runner.BLOCK_ENTRIES, default)):
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
+        calls.clear()
         fd = sf.fd_iteration_matrix(tup, gt, 0.7)
         assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
+        assert calls["eigh", n] == 2 * -(-len(fd) // m)     # a dense eigh per stack and side
+
+
+@pytest.mark.parametrize("entries, s", [(None, 1), (5 * 8**2, 5), (8**2, 21)])
+def test_fd_oracle_call_budget(monkeypatch, entries, s):
+    # one tuple at n=8, r=3 (dim 21) goes in s = ceil(dim / m) stacks of m = 1024 (the
+    # default), 5 or 1 columns.  Each stack steps twice (+h and -h), and a step costs one
+    # dense eigh, one 2r x 2r eigh, one eigvalsh and one QR of B, plus one QR when some
+    # column is re-orthonormalized; the boundary frame costs one complete QR
+    gt = sf.make_ground_truth(8, 3, [4, 3, 2], seed=21)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
+    if entries is not None:
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
+    redo, redos = _runner.reorthonormalize, []
+
+    def reorthonormalize(U, S, tol):
+        drift = redo(U, S, tol)
+        redos.append(bool((drift > tol).any()))
+        return drift
+    monkeypatch.setattr(_runner, "reorthonormalize", reorthonormalize)
+    calls = _count_linalg(monkeypatch, "eigh", "eigvalsh", "qr")
+    sf.fd_iteration_matrix(tup, gt, 0.7)
+    assert len(redos) == 2 * s                       # every step checks its drift once
+    assert calls == Counter({("eigh", 8): 2 * s, ("eigh", 6): 2 * s, ("eigvalsh", 3): 2 * s,
+                             ("qr", 3): 2 * s + sum(redos), ("qr", 4): 1})
 
 
 @pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import spsdflow as sf
-from spsdflow import experiments, rgd, spurious
+from spsdflow import _runner, experiments, manifold, spurious
 from spsdflow.experiments import ExperimentConfig
 from spsdflow.flows import _raw_rescaled
 from spsdflow.manifold import frob, sym
@@ -186,13 +186,18 @@ def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
         s1, s2 = _seed_pair(seed)
         serial.append(sf.perturb_near(sf.sample_spurious_tuple(sp, gt, seed=s1), radius, seed=s2))
     # dense sub-stacks of one matrix, of two (the last one partial), and the default
-    # (every start in one at n = 8 and 30, six and one at n = 100)
-    for entries in (n**2, 2 * n**2, rgd.BLOCK_ENTRIES):
-        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+    # (every start in one at n = 8 and 30, six and one at n = 100): one eigh each
+    eigh, eighs = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda W: eighs.append(len(W)) or eigh(W))
+    for entries, sizes in ((n**2, [1] * 7), (2 * n**2, [2, 2, 2, 1]),
+                           (_runner.BLOCK_ENTRIES, [6, 1] if n == 100 else [7])):
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
+        eighs.clear()
         U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+        assert eighs == sizes
         # laid out as the runner's stack of the points, with each U column-major as retract's:
         # descent rounds differently on a row-major copy
-        assert (U.strides, S.strides) == tuple(x.strides for x in rgd._stack(serial))
+        assert (U.strides, S.strides) == tuple(x.strides for x in _runner.stack(serial))
         assert U[0].flags.f_contiguous and serial[0].U.flags.f_contiguous
         for i, point in enumerate(serial):
             _assert_same_start(U[i], S[i], point)
@@ -201,17 +206,17 @@ def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
 def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
     cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", 30)
     hit, calls = 2, []
-    truncate = spurious.truncate
+    truncate = manifold.truncate
 
     def forced(w, V, r):                  # the first eigh's third start comes out rank-deficient
-        Vr, kept, deficient = truncate(w, V, r)
+        Vr, S, deficient = truncate(w, V, r)
         if not calls:
             deficient = deficient.copy()
             deficient[hit] = True
         calls.append(len(w))
-        return Vr, kept, deficient
+        return Vr, S, deficient
 
-    monkeypatch.setattr(spurious, "truncate", forced)
+    monkeypatch.setattr(manifold, "truncate", forced)
     U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
     monkeypatch.undo()
     assert calls == [len(seeds), 1]       # one more eigh, for the redrawn start alone
@@ -234,7 +239,7 @@ def test_escape_block_call_budget(monkeypatch, entries, eighs):
     gt = experiments._shared_ground_truth(cfg)
     build = experiments._starts(cfg, gt, list(range(13)))
     if entries is not None:
-        monkeypatch.setattr(rgd, "BLOCK_ENTRIES", entries)
+        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
     calls = {"eigh": 0, "qr": 0, "eigvalsh": 0}
 
     def counted(name, fn):
