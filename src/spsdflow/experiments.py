@@ -93,6 +93,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:   # JSON ints only: no floats or bools
                 raise ValueError(f"{name} must be an int of at least {least}")
+        for name in ("alpha", "epsilon", "tol_dist", "dt", "t_end"):
+            if isinstance(getattr(self, name), bool):    # JSON true is not the number 1
+                raise ValueError(f"{name} must be a number, not a bool")
         if not 1 <= self.r <= self.n:
             raise ValueError("need 1 <= r <= n")
         if self.scenario.startswith("escape") and not 0 < self.epsilon < np.inf:

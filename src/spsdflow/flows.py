@@ -87,8 +87,8 @@ class StepControls:
     def __post_init__(self):
         if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive and finite")
-        if np.isnan(self.tau_conv):
-            raise ValueError("step controls must not be NaN")
+        if not self.tau_conv < np.inf:    # +inf would stop every run at its start as converged
+            raise ValueError("tau_conv must not be NaN or +inf")
 
 
 @dataclass

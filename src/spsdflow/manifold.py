@@ -8,6 +8,7 @@ matrices only appear at module boundaries; the iterative drivers in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -81,6 +82,8 @@ def target_spectrum(eigenvalues, r: int) -> np.ndarray:
         raise ValueError("need exactly r eigenvalues")
     if not (np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.diff(d) < 0)):
         raise ValueError("eigenvalues must be finite, positive and pairwise distinct")
+    if not math.hypot(*d) < np.sqrt(np.finfo(float).max):   # ||X||_F^2; hypot scales, no warning
+        raise ValueError("eigenvalues too large: their squared norm overflows")
     return d
 
 
@@ -120,11 +123,6 @@ class GroundTruth(_Columns):
             raise ValueError("eigenvalues must be in decreasing order")
         object.__setattr__(self, "U", U)
         object.__setattr__(self, "d", d)
-
-    @property
-    def sigma_r(self) -> float:
-        """Smallest retained eigenvalue of the target."""
-        return float(self.d[-1])
 
     def dense(self) -> np.ndarray:
         """Materialize X as a dense n-by-n symmetric matrix."""
@@ -235,7 +233,7 @@ def tangent_project(point: FactoredPoint, Y: np.ndarray) -> np.ndarray:
     Returns P_U Y + Y P_U - P_U Y P_U with P_U = U U^T.  The projection is
     idempotent and self-adjoint; the result is symmetric.
     """
-    Y = sym(np.asarray(Y, dtype=float))
+    Y = sym(_finite("Y", Y))
     if Y.shape != (point.n, point.n):
         raise ValueError("Y has wrong shape for this point")
     B = point.U.T @ Y                      # r x n
@@ -383,7 +381,7 @@ def riem_hessian_apply(point: FactoredPoint, gt: GroundTruth,
     if frame is None:
         frame = eigen_frame(point)
     if isinstance(xi, np.ndarray):
-        xi = TangentParam.from_ambient(frame, xi)
+        xi = TangentParam.from_ambient(frame, _finite("xi", xi))
     elif frob(xi.frame.U - frame.U) > 1e-8:
         raise ValueError("tangent vector expressed in a different frame")
     sigma = frame.sigma
@@ -409,8 +407,8 @@ def manifold_dim(m: int, n: int, r: int, field: str = "real",
         raise ValueError("field must be 'real' or 'complex'")
     if hermitian and m != n:
         raise ValueError("Hermitian case requires m == n")
-    if not 0 <= r <= min(m, n):
-        raise ValueError("invalid rank")
+    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= min(m, n):
+        raise ValueError("r must be an int from 0 to min(m, n)")
     if hermitian:
         return (2 * m - r + 1) * r // 2 if field == "real" else (4 * m - r + 1) * r // 2
     return (m + n - r) * r if field == "real" else (2 * m + 2 * n - r) * r

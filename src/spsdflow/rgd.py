@@ -64,12 +64,15 @@ class GDConfig:
     tol_dist: float = 1e-6
 
     def __post_init__(self):
-        if not 0 < self.alpha < np.inf:
+        if isinstance(self.alpha, bool) or not 0 < self.alpha < np.inf:
             raise ValueError("alpha must be positive and finite")
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        if self.max_iters < 0 or not 0 < self.tol_dist < np.inf:
-            raise ValueError("invalid iteration controls")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
+            raise ValueError("max_iters must be an int of at least 0")
+        if isinstance(self.tol_dist, bool) or not 0 < self.tol_dist < np.inf:
+            raise ValueError("tol_dist must be positive and finite")
 
 
 def _stepsizes(cfg: GDConfig, sigma: np.ndarray) -> np.ndarray:

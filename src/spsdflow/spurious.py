@@ -9,7 +9,6 @@ nearby full-rank starting points for escape experiments.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +21,6 @@ from .manifold import (
     _Columns,
     _dense_retract,
     _freeze,
-    complement_basis,
     frob,
     mT,
     retract,  # noqa: F401 - perfbench/tracer.py wraps spurious.retract
@@ -104,18 +102,6 @@ class SpuriousPoint:
         """Loss value at the point: half the squared norm of the missing block."""
         return 0.5 * float(np.sum(self.d_miss**2))
 
-    def descriptor(self) -> dict:
-        """JSON-serializable provenance record."""
-        return {
-            "mask": [int(b) for b in self.mask],
-            "rank": self.s,
-            "kept_eigenvalues": [float(v) for v in self.d_kept],
-            "missing_eigenvalues": [float(v) for v in self.d_miss],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.descriptor(), sort_keys=True)
-
 
 def spurious_point(gt: GroundTruth, mask) -> SpuriousPoint:
     """The spurious point retaining exactly the masked eigenpairs of the target."""
@@ -172,21 +158,16 @@ class SpuriousTuple(_Columns):
         return self.P[:, -1]
 
 
-def sample_spurious_tuple(sp: SpuriousPoint, gt: GroundTruth, seed: int,
-                          haar: bool = True) -> SpuriousTuple:
+def sample_spurious_tuple(sp: SpuriousPoint, gt: GroundTruth, seed: int) -> SpuriousTuple:
     """Random parameterized tuple for a spurious point, deterministic per seed.
 
     The fill-in directions are drawn in the orthogonal complement of the
     target's eigenvector span (Gaussian then QR); the mixing matrix P is
-    Haar-distributed, or the identity when ``haar`` is false.
+    Haar-distributed.
     """
-    k = sp.r - sp.s
-    if sp.n - sp.r < k:
+    if sp.n - sp.r < sp.r - sp.s:
         raise ValueError("complement too small to fill the missing rank")
-    if haar:
-        fill, P = _haar_fill(sp, gt, [_tagged_rng(seed, tag=1)])
-    else:
-        fill, P = complement_basis(gt.U)[None, :, :k], np.eye(sp.r)[None]
+    fill, P = _haar_fill(sp, gt, [_tagged_rng(seed, tag=1)])
     return SpuriousTuple(sp, *(v[0] for v in _tuples(sp, gt, fill, P)))
 
 

@@ -159,9 +159,9 @@ def test_varying_steps_not_diminishing_after_rampup():
     run = sf.run_rgd(init, gt, sf.GDConfig(alpha=1.0, mode="varying", max_iters=5000))
     assert run.status == "converged_to_X"
     sig = run.records[:, 2]
-    ramped = np.flatnonzero(sig >= 0.5 * gt.sigma_r)
+    ramped = np.flatnonzero(sig >= 0.5 * gt.d[-1])
     assert ramped.size > 0
-    floor = 0.5 * gt.sigma_r / gt.d[0]
+    floor = 0.5 * gt.d[-1] / gt.d[0]
     assert np.min(sig[ramped[0]:]) >= floor
 
 

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -68,13 +66,9 @@ def test_stationarity_of_sampled_tuples():
             assert frob(sf.riem_gradient(tup.factored(), gt)) <= 1e-10
 
 
-def test_tuple_constraints_and_identity_rotation():
+def test_tuple_constraints():
     gt = sf.make_ground_truth(10, 3, [3, 2, 1], seed=4)
     sp = sf.spurious_point(gt, [True, True, False])
-    tup = sf.sample_spurious_tuple(sp, gt, seed=0, haar=False)
-    assert np.allclose(tup.P, np.eye(3))
-    assert np.allclose(tup.U[:, :2], sp.U_kept)
-    assert np.allclose(tup.S, np.diag([3.0, 2.0, 0.0]))
     for seed in range(5):
         tup = sf.sample_spurious_tuple(sp, gt, seed=seed)
         assert frob(tup.U_fill.T @ gt.U) <= 1e-12
@@ -111,14 +105,6 @@ def test_objective_gap_closed_form():
     for sp in sf.enumerate_spurious(gt):
         dense_val = 0.5 * frob(sp.dense() - X) ** 2
         assert abs(sp.objective_value() - dense_val) < 1e-10
-
-
-def test_descriptor_serializes():
-    gt = sf.make_ground_truth(8, 3, [3, 2, 1], seed=7)
-    sp = sf.spurious_point(gt, [False, True, True])
-    data = json.loads(sp.to_json())
-    assert data["mask"] == [0, 1, 1] and data["rank"] == 2
-    assert data["missing_eigenvalues"] == [3.0]
 
 
 def test_full_mask_rejected():
