@@ -22,8 +22,8 @@ from . import __version__
 from . import _runner
 from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
-from .manifold import (FactoredPoint, GroundTruth, factored_blocks, frob, residual_norms,
-                       target_spectrum)
+from .manifold import (FactoredPoint, GroundTruth, _int, _real, factored_blocks, frob,
+                       residual_norms, target_spectrum)
 from .rgd import GDConfig, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
@@ -93,19 +93,14 @@ class ExperimentConfig:
             value = getattr(self, name)
             if type(value) is not int or value < least:   # JSON ints only: no floats or bools
                 raise ValueError(f"{name} must be an int of at least {least}")
-        for name in ("alpha", "epsilon", "tol_dist", "dt", "t_end"):
-            if isinstance(getattr(self, name), bool):    # JSON true is not the number 1
-                raise ValueError(f"{name} must be a number, not a bool")
         if not 1 <= self.r <= self.n:
             raise ValueError("need 1 <= r <= n")
-        if self.scenario.startswith("escape") and not 0 < self.epsilon < np.inf:
-            raise ValueError("escape scenarios require a positive finite epsilon")
+        _real("epsilon", self.epsilon)
         deficit = _ESCAPE_DEFICIT.get(self.scenario, 0)
         if self.r <= deficit or self.n - self.r < deficit:   # at r = deficit the point is zero
             raise ValueError(f"escape from rank deficit {deficit} needs n - r >= {deficit} and "
                              f"r > {deficit}, else the spurious point is the zero matrix")
-        if not 0 <= self.t_end < np.inf:
-            raise ValueError("t_end must be finite and nonnegative")
+        _real("t_end", self.t_end, zero=True)
         eig = self.eigenvalues
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
         target_spectrum(eig, self.r)
@@ -226,7 +221,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Execute one run of the configured scenario with the given seed."""
-    return _run_seeds(cfg, [seed])[0]
+    return _run_seeds(cfg, [_int("seed", seed, 0)])[0]
 
 
 def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[dict, int]:

@@ -29,6 +29,7 @@ from .manifold import (
     TAU_ORTH,
     TAU_RANK,
     _finite,
+    _real,
     factored_blocks,
     frob,
     mT,
@@ -85,8 +86,7 @@ class StepControls:
     tau_conv: float = 0.0
 
     def __post_init__(self):
-        if not 0 < self.dt < np.inf:
-            raise ValueError("dt must be positive and finite")
+        _real("dt", self.dt)
         if not self.tau_conv < np.inf:    # +inf would stop every run at its start as converged
             raise ValueError("tau_conv must not be NaN or +inf")
 
@@ -153,9 +153,7 @@ def scaled_inverse_gradient(S: np.ndarray, direction: np.ndarray) -> np.ndarray:
     (possibly nonsymmetric) matrix for a general direction.
     """
     S = _finite("S", sym(np.asarray(S, dtype=float)))
-    D = _finite("direction", direction)
-    if D.shape != S.shape:
-        raise ValueError("direction has wrong shape")
+    D = _finite("direction", direction, S.shape)
     w, P = np.linalg.eigh(S)
     rel = relative_spectrum(w)
     if (np.diff(rel) <= TAU_GAP).any():
@@ -247,8 +245,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
     """
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
-    if not 0 <= t_end < np.inf:
-        raise ValueError("t_end must be finite and nonnegative")
+    _real("t_end", t_end, zero=True)
     rhs = _SYSTEMS[system]
     ctl = controls or StepControls()
 
@@ -329,8 +326,7 @@ class RescaledFlowJacobian:
         The spectrum is therefore exactly eig(M) plus n(r-1) + r(r+1)/2 zeros.
         ``n_positive`` counts the real parts above ``positive_tol`` (nonnegative).
         """
-        if not positive_tol >= 0:
-            raise ValueError("positive_tol must be nonnegative")
+        _real("positive_tol", positive_tol, zero=True)
         n, r = self.n, self.r
         U, X = self.tup.U, self.gt.dense()
         u = U @ self.tup.null_vec

@@ -67,12 +67,29 @@ def _freeze(A: np.ndarray) -> np.ndarray:
     return out
 
 
-def _finite(name: str, A) -> np.ndarray:
-    """A as a float array; raises a ValueError naming it when an entry is NaN or infinite."""
+def _finite(name: str, A, shape: tuple | None = None) -> np.ndarray:
+    """A as a finite float array (of ``shape``, if given); else raises a ValueError naming it."""
     A = np.asarray(A, dtype=float)
     if not np.isfinite(A).all():
         raise ValueError(f"{name} has non-finite entries")
+    if shape is not None and A.shape != shape:
+        raise ValueError(f"{name} has wrong shape {A.shape}, expected {shape}")
     return A
+
+
+def _real(name: str, x, zero: bool = False):
+    """x when it is a real number with 0 < x < inf (0 <= x < inf where ``zero``); not a bool."""
+    if isinstance(x, (bool, np.bool_)) or not (0 <= x if zero else 0 < x) or not x < math.inf:
+        raise ValueError(f"{name} must be {'nonnegative' if zero else 'positive'} and finite, "
+                         f"got {x!r}")
+    return x
+
+
+def _int(name: str, x, lo: int, hi: float = math.inf):
+    """x when it is a Python or numpy int with lo <= x <= hi; not a bool."""
+    if isinstance(x, bool) or not isinstance(x, (int, np.integer)) or not lo <= x <= hi:
+        raise ValueError(f"{name} must be an integer in [{lo}, {hi}], got {x!r}")
+    return x
 
 
 def target_spectrum(eigenvalues, r: int) -> np.ndarray:
@@ -233,9 +250,7 @@ def tangent_project(point: FactoredPoint, Y: np.ndarray) -> np.ndarray:
     Returns P_U Y + Y P_U - P_U Y P_U with P_U = U U^T.  The projection is
     idempotent and self-adjoint; the result is symmetric.
     """
-    Y = sym(_finite("Y", Y))
-    if Y.shape != (point.n, point.n):
-        raise ValueError("Y has wrong shape for this point")
+    Y = sym(_finite("Y", Y, (point.n, point.n)))
     B = point.U.T @ Y                      # r x n
     C = B @ point.U                        # r x r
     out = point.U @ B + B.T @ point.U.T - point.U @ C @ point.U.T
@@ -275,9 +290,7 @@ def retract(W: np.ndarray, r: int) -> RetractionResult:
     manifold; ties at zero are broken by the eigensolver's ordering).
     """
     W = sym(_finite("W", W))
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 < r <= W.shape[0]:
-        raise ValueError("r must be an int from 1 to the size of W")
-    U, S, deficient = _dense_retract(W, r)
+    U, S, deficient = _dense_retract(W, _int("r", r, 1, W.shape[0]))
     return RetractionResult(FactoredPoint(U, S), bool(deficient))
 
 
@@ -405,10 +418,11 @@ def manifold_dim(m: int, n: int, r: int, field: str = "real",
     """
     if field not in ("real", "complex"):
         raise ValueError("field must be 'real' or 'complex'")
+    _int("m", m, 0)
+    _int("n", n, 0)
     if hermitian and m != n:
         raise ValueError("Hermitian case requires m == n")
-    if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or not 0 <= r <= min(m, n):
-        raise ValueError("r must be an int from 0 to min(m, n)")
+    _int("r", r, 0, min(m, n))
     if hermitian:
         return (2 * m - r + 1) * r // 2 if field == "real" else (4 * m - r + 1) * r // 2
     return (m + n - r) * r if field == "real" else (2 * m + 2 * n - r) * r

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .manifold import TAU_GAP, TAU_ORTH, TAU_RANK, _finite, orth_defect, relative_spectrum, sym
+from .manifold import (TAU_GAP, TAU_ORTH, TAU_RANK, _finite, _int, _real, orth_defect,
+                       relative_spectrum, sym)
 
 
 class SeparationError(ValueError):
@@ -43,8 +44,7 @@ def fd_directional(fun, x, direction, h: float):
     of ``fun``'s value.  O(h^2) accurate for twice-differentiable maps, and
     exact for linear ones.  ``h`` must be positive and finite.
     """
-    if not 0 < h < np.inf:
-        raise ValueError("step size h must be positive and finite")
+    _real("h", h)
     fp, fm = (fun(_leafwise(lambda xi, di: xi + a * di, x, direction)) for a in (h, -h))
     return _leafwise(lambda p, m: (p - m) / (2.0 * h), fp, fm)
 
@@ -67,7 +67,7 @@ def fd_report(fun, x, direction, reference, hs) -> FDReport:
     The observed order is the least-squares slope of log error against
     log h; at least three distinct step sizes are required for the fit.
     """
-    hs = tuple(sorted((float(h) for h in hs), reverse=True))
+    hs = tuple(sorted((float(_real("hs", h)) for h in hs), reverse=True))
     if len(set(hs)) < 3:
         raise ValueError("need at least three step sizes to estimate the order")
     errors = []
@@ -104,9 +104,7 @@ class EigMinSlope:
 def eig_min_derivative(S: np.ndarray, dS: np.ndarray) -> EigMinSlope:
     """d/dt of sigma_min(S + t dS) at t = 0, with a flagged cluster fallback."""
     S = _finite("S", sym(np.asarray(S, dtype=float)))
-    dS = _finite("dS", sym(np.asarray(dS, dtype=float)))
-    if dS.shape != S.shape:
-        raise ValueError("dS has wrong shape")
+    dS = _finite("dS", sym(np.asarray(dS, dtype=float)), S.shape)
     w, P = np.linalg.eigh(S)
     rel = relative_spectrum(w)
     cluster = np.flatnonzero(rel - rel[0] <= TAU_GAP)
@@ -150,9 +148,7 @@ def sin_theta_check(A: np.ndarray, Delta: np.ndarray, subspace_dim: int
     B = sym(A + Delta)
     if not np.isfinite(B).all():          # A is finite: Delta is not, or the sums overflow
         raise ValueError("Delta has non-finite entries, or A + Delta overflows")
-    k = subspace_dim
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or not 0 < k < A.shape[0]:
-        raise ValueError(f"subspace_dim must be an integer in [1, {A.shape[0] - 1}], got {k!r}")
+    k = _int("subspace_dim", subspace_dim, 1, A.shape[0] - 1)
     wa, Va = np.linalg.eigh(A)
     wb, Vb = np.linalg.eigh(B)
     E0, a0 = Va[:, ::-1][:, :k], wa[::-1][:k]

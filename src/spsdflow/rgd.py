@@ -29,6 +29,8 @@ from .manifold import (
     TAU_ORTH,
     TangentParam,
     _dense_retract,
+    _int,
+    _real,
     complement_basis,
     factored_blocks,
     manifold_dim,
@@ -64,15 +66,11 @@ class GDConfig:
     tol_dist: float = 1e-6
 
     def __post_init__(self):
-        if isinstance(self.alpha, bool) or not 0 < self.alpha < np.inf:
-            raise ValueError("alpha must be positive and finite")
+        _real("alpha", self.alpha)
         if self.mode not in ("fixed", "varying"):
             raise ValueError("mode must be 'fixed' or 'varying'")
-        m = self.max_iters
-        if isinstance(m, bool) or not isinstance(m, (int, np.integer)) or m < 0:
-            raise ValueError("max_iters must be an int of at least 0")
-        if isinstance(self.tol_dist, bool) or not 0 < self.tol_dist < np.inf:
-            raise ValueError("tol_dist must be positive and finite")
+        _int("max_iters", self.max_iters, 0)
+        _real("tol_dist", self.tol_dist)
 
 
 def _stepsizes(cfg: GDConfig, sigma: np.ndarray) -> np.ndarray:
@@ -260,8 +258,7 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     K = Up^T X_m Up: on the coordinates of :func:`boundary_frame` (N row-major)
     the matrix is I plus alpha * kron(e e^T, K^T) on the N-block.
     """
-    if not 0 < alpha < np.inf:
-        raise ValueError("alpha must be positive and finite")
+    _real("alpha", alpha)
     frame = boundary_frame(tup)
     r, n = frame.r, frame.n
     d_miss = float(tup.point.d_miss[0])
@@ -294,8 +291,7 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     one call, and its differences are converted back to coordinates in one
     call.  ``eps`` must be positive and finite.
     """
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
+    _real("eps", eps)
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)

@@ -21,6 +21,8 @@ from .manifold import (
     _Columns,
     _dense_retract,
     _freeze,
+    _int,
+    _real,
     frob,
     mT,
     retract,  # noqa: F401 - perfbench/tracer.py wraps spurious.retract
@@ -31,9 +33,8 @@ from .manifold import (
 
 def haar_orthonormal(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     """Haar-distributed n-by-m orthonormal columns via sign-fixed QR (m defaults to n)."""
-    if m is not None and m > n:
-        raise ValueError("R^n holds at most n orthonormal columns")
-    return _sign_fixed_qr(rng.standard_normal((n, n if m is None else m)))
+    _int("n", n, 0)
+    return _sign_fixed_qr(rng.standard_normal((n, n if m is None else _int("m", m, 0, n))))
 
 
 def _sign_fixed_qr(G: np.ndarray) -> np.ndarray:
@@ -48,7 +49,7 @@ def _tagged_rng(seed: int, tag: int) -> np.random.Generator:
     # Domain-separated stream: the same integer seed fed to different
     # samplers must not replay identical Gaussian draws (a shared seed with
     # the target constructor would otherwise produce degenerate geometry).
-    return np.random.default_rng(np.random.SeedSequence(entropy=(int(seed), tag)))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(int(_int("seed", seed, 0)), tag)))
 
 
 def make_ground_truth(n: int, r: int, eigenvalues, seed: int) -> GroundTruth:
@@ -58,7 +59,7 @@ def make_ground_truth(n: int, r: int, eigenvalues, seed: int) -> GroundTruth:
     in decreasing order.  The eigenvector block is Haar-distributed.
     """
     d = target_spectrum(eigenvalues, r)
-    return GroundTruth(haar_orthonormal(np.random.default_rng(seed), n, r), d)
+    return GroundTruth(haar_orthonormal(np.random.default_rng(_int("seed", seed, 0)), n, r), d)
 
 
 @dataclass(frozen=True)
@@ -216,8 +217,7 @@ def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, draws: 
     Sub-stacks of ``dense_stack(n)`` dense W = sym(U S U^T) + epsilon E are built in one buffer
     for one retraction; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
     """
-    if not 0 < epsilon < np.inf:
-        raise ValueError("epsilon must be positive and finite")
+    _real("epsilon", epsilon)
     if not draws:
         raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
     R, n, r = U.shape
