@@ -42,7 +42,7 @@ def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
     return drift
 
 
-def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
+def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,
                advance: Callable, observe: Callable | None) -> Iterator[tuple]:
     """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
@@ -50,8 +50,11 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
     run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
     whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
-    ``advance``.  Yields per run its status, its rows (x from 0 in each block, dist, sigma_r,
-    grad_norm) to the terminal point, and its factors.
+    ``advance``.  ``core`` is the system's one decomposition of each logged core S
+    (``np.linalg.eigvalsh`` or ``np.linalg.eigh``): sigma_r is logged from its ascending
+    eigenvalues, and ``advance(x, U, S, A, B, eig)`` gets it as a tuple, ``(w,)`` or ``(w, P)``.
+    Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm) to
+    the terminal point, and its factors.
     """
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     lo = 0                                # index of the block's first start
@@ -66,7 +69,9 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
         while True:
             A, B, C = factored_blocks(U, gt)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
-            sigma = np.linalg.eigvalsh(S)[:, 0]
+            eig = core(S)
+            eig = (eig,) if isinstance(eig, np.ndarray) else tuple(eig)
+            sigma = eig[0][:, 0]
             log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad]))
             done = np.zeros(ids.size, dtype=bool)
             for mask, status in stop(x, dist, sigma, grad):
@@ -76,10 +81,11 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable,
             if done.all():
                 break
             if done.any():
-                U, S, A, B, ids, sigma = (v[~done] for v in (U, S, A, B, ids, sigma))
+                U, S, A, B, ids = (v[~done] for v in (U, S, A, B, ids))
+                eig = tuple(v[~done] for v in eig)
             if observe is not None:
                 observe(x, ids, U, S)
-            x, U, S = advance(x, U, S, A, B, sigma)
+            x, U, S = advance(x, U, S, A, B, eig)
         rows = np.concatenate(log)
         for i, (status, U, S) in sorted(ends.items()):
             yield status, rows[rows[:, 0] == i, 1:], U, S

@@ -29,6 +29,7 @@ from .manifold import (
     TAU_ORTH,
     TAU_RANK,
     _finite,
+    _overlap_blocks,
     _real,
     factored_blocks,
     frob,
@@ -121,7 +122,11 @@ def scaled_inverse(S: np.ndarray) -> np.ndarray:
 
 def _scaled_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """:func:`scaled_inverse` and sigma_min(S) from one eigh, per core of a stack."""
-    w, P = np.linalg.eigh(S)               # ascending
+    return _scaled_from_eigh(*np.linalg.eigh(S))
+
+
+def _scaled_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_scaled_inverse` from the ascending eigh (w, P) of S: its checks and assembly."""
     size = np.abs(relative_spectrum(w))
     if ((size[..., :1] <= TAU_RANK) & (size[..., 1:2] <= TAU_GAP)).any():
         raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
@@ -181,9 +186,9 @@ _PLAIN_SIGMA_FLOOR = 1e-14
 
 def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
                ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain right-hand side on raw factors (stacks give stacks), from ``known`` (A, B, sigma_r)."""
-    A, B, sigma = known or (*factored_blocks(U, gt)[:2], np.linalg.eigvalsh(S)[..., 0])
-    if (sigma <= _PLAIN_SIGMA_FLOOR).any():
+    """Plain right-hand side on raw factors (stacks give stacks), ``known`` (A, B, eigvalsh(S))."""
+    A, B, w = known or (*factored_blocks(U, gt)[:2], np.linalg.eigvalsh(S))
+    if (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
     dU = mT(np.linalg.solve(S, mT(B)))
     return dU, A - S
@@ -191,10 +196,19 @@ def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | Non
 
 def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled right-hand side on raw factors, as :func:`_raw_plain`; tolerates a singular core."""
-    A, B = (known or factored_blocks(U, gt))[:2]
-    phi, smin = _scaled_inverse(S)
-    return B @ phi, (A - S) * smin[..., None, None]
+    """Rescaled right-hand side, as :func:`_raw_plain` from (A, B, *eigh(S)); S may be singular.
+
+    Without ``known``, dU = B phi is V (D C phi) - U (A phi): neither X U nor B is built.
+    """
+    if known is None:
+        _, DC, A = _overlap_blocks(U, gt)
+        phi, smin = _scaled_inverse(S)
+        dU = gt.U @ (DC @ phi) - U @ (A @ phi)
+    else:
+        A, B, w, P = known
+        phi, smin = _scaled_from_eigh(w, P)
+        dU = B @ phi
+    return dU, (A - S) * smin[..., None, None]
 
 
 def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -253,9 +267,9 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         return [(not t < t_end - 1e-12, "t_end"), (grad < ctl.tau_conv, "converged"),
                 (system == "dlra" and sigma < SIGMA_FLOOR, "sigma_floor")]
 
-    def advance(t, U, S, A, B, sigma):
+    def advance(t, U, S, A, B, eig):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = rhs(U, S, gt, (A, B, sigma))   # the runner's blocks and sigma_r here
+        kU1, kS1 = rhs(U, S, gt, (A, B, *eig))    # the runner's blocks and core decomposition
         kU2, kS2 = rhs(U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
         kU3, kS3 = rhs(U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
         kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)
@@ -268,7 +282,8 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
                                 "reduce dt")
         return t + h, U, S
 
-    return _runner.run_blocks(count, build, gt, stop, advance, observe)
+    core = np.linalg.eigh if system == "rescaled" else np.linalg.eigvalsh
+    return _runner.run_blocks(count, build, gt, core, stop, advance, observe)
 
 
 @dataclass

@@ -184,22 +184,29 @@ class FactoredPoint(_Columns):
         return bool(np.abs(relative_spectrum(np.linalg.eigvalsh(self.S))).min() > TAU_RANK)
 
 
+def _overlap_blocks(U: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The r-by-r blocks (C, D C, A) of a target X = V D V^T: C = V^T U, A = sym(C^T D C) = U^T X U.
+
+    C is the one length-n product; stacked factors (..., n, r) give stacked blocks.
+    """
+    if U.shape[-2] != gt.n:
+        raise ValueError("dimension mismatch between point and target")
+    C = gt.U.T @ U
+    DC = gt.d[:, None] * C
+    return C, DC, sym(mT(C) @ DC)
+
+
 def factored_blocks(U: np.ndarray, gt: GroundTruth
                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Return (A, B, C) with A = U^T X U, B = (I - U U^T) X U and C = V^T U.
 
     Here X = V D V^T is the target.  These blocks drive every factored
     computation: gradient, descent step, flow right-hand sides, distance
-    and gradient norms.  C is the r-by-r product that ``GroundTruth.apply``
-    forms on the way to X U.  A stack of factors (..., n, r) gives stacked
-    blocks.
+    and gradient norms.  A and C come from :func:`_overlap_blocks`, and
+    B = V (D C) - U A.  A stack of factors (..., n, r) gives stacked blocks.
     """
-    if U.shape[-2] != gt.n:
-        raise ValueError("dimension mismatch between point and target")
-    C = gt.U.T @ U
-    XU = gt.U @ (gt.d[:, None] * C)
-    A = sym(mT(U) @ XU)
-    return A, XU - U @ A, C
+    C, DC, A = _overlap_blocks(U, gt)
+    return A, gt.U @ DC - U @ A, C
 
 
 def residual_norms(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,

@@ -166,13 +166,14 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
         return [(dist < cfg.tol_dist, "converged_to_X"), (grad < TAU_GRAD, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
-    def advance(k, U, S, A, B, sigma):
-        U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
+    def advance(k, U, S, A, B, eig):
+        U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, eig[0][:, 0]))
         if deficient.any():
             raise RankDropError(f"iterate left the manifold at step {k}")
         return k + 1, U, S
 
-    for status, rows, U, S in _runner.run_blocks(count, build, gt, stop, advance, observe):
+    runs = _runner.run_blocks(count, build, gt, np.linalg.eigvalsh, stop, advance, observe)
+    for status, rows, U, S in runs:
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
 
 

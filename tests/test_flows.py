@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import _runner, rgd
+from spsdflow import _runner, flows, rgd
 from spsdflow.experiments import _random_point
 from spsdflow.flows import (
     EigenGapError,
@@ -13,7 +13,7 @@ from spsdflow.flows import (
     _integrate_batch,
     _raw_rescaled,
 )
-from spsdflow.manifold import TAU_ORTH, frob, mT, sym
+from spsdflow.manifold import TAU_ORTH, factored_blocks, frob, mT, sym
 
 
 def random_state(rng, gt, spectrum):
@@ -92,6 +92,40 @@ def test_rescaled_vanishes_linearly_along_core_inflation():
     for eps, nrm in zip(eps_grid, norms):
         assert nrm <= 10 * eps
     assert norms[-1] < norms[0]
+
+
+def test_rescaled_rhs_r_by_r_form_matches_the_n_by_r_form():
+    # dU = V (D C phi) - U (A phi) is B phi with A = sym(U^T X U), B = X U - U A: at an
+    # interior stack, at a rank-deficit-one tuple (phi = p p^T, B = 0 there) and at its
+    # singular core under a generic U (phi = p p^T, B != 0); errors against ||X U||
+    gt = small_instance(7)
+    rng = np.random.default_rng(2)
+    U = np.stack([sf.haar_orthonormal(rng, 8, 3) for _ in range(4)])
+    S = sym(rng.standard_normal((4, 3, 3))) + 4 * np.eye(3)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 1)
+    pp = np.outer(tup.null_vec, tup.null_vec)
+    for U, S, singular in ((U, S, False), (tup.U, tup.S, True), (U[0], tup.S, True)):
+        XU = np.stack([gt.apply(u) for u in U.reshape(-1, 8, 3)]).reshape(U.shape)
+        A = sym(mT(U) @ XU)
+        B = XU - U @ A
+        phi, smin = flows._scaled_inverse(S)
+        assert not singular or frob(phi - pp) < 1e-12
+        dU, dS = _raw_rescaled(U, S, gt)
+        assert frob(dU - B @ phi) <= 1e-13 * frob(XU)
+        assert frob(dS - (A - S) * smin[..., None, None]) <= 1e-13 * frob(XU)
+        assert frob(factored_blocks(U, gt)[0] - A) <= 1e-14 * frob(A)
+    assert frob(B @ phi) > 0.1                     # the last case is not trivially zero
+
+
+def test_rescaled_extension_checks_wait_until_a_run_steps():
+    # the ExtensionError checks run in RK4 stage 1, not at every logged point: a
+    # rank-deficit-two start logs one row at t_end = 0 and raises once it steps
+    gt = small_instance()
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False, False]), gt, 1)
+    res = sf.integrate("rescaled", tup.factored(), gt, 0.0, sf.StepControls(dt=0.05))
+    assert res.status == "t_end" and res.records.shape == (1, 4)
+    with pytest.raises(ExtensionError, match="not simple"):
+        sf.integrate("rescaled", tup.factored(), gt, 0.1, sf.StepControls(dt=0.05))
 
 
 # ------------------------------------------------------- extension functions
@@ -212,12 +246,13 @@ def test_first_stop_rule_that_holds_wins(system):
 
 
 def test_rescaled_step_decomposes_each_core_once(monkeypatch):
-    # one eigh per RK4 stage gives both S^-1 sigma_min and sigma_min, one
-    # eigvalsh per logged point gives sigma_r, and states wait until read
+    # the runner's eigh of each logged core gives sigma_r and, in stage 1, both
+    # S^-1 sigma_min and sigma_min; stages 2-4 take one eigh each and the r x r
+    # blocks, not factored_blocks; states wait until read
     gt = small_instance(11)
     rng = np.random.default_rng(3)
     init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
-    calls = {"eigh": 0, "eigvalsh": 0, "FactoredPoint": 0}
+    calls = {"eigh": 0, "eigvalsh": 0, "FactoredPoint": 0, "factored_blocks": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -229,10 +264,14 @@ def test_rescaled_step_decomposes_each_core_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(sf.FactoredPoint, "__post_init__",
                         counted("FactoredPoint", sf.FactoredPoint.__post_init__))
+    blocks = counted("factored_blocks", factored_blocks)
+    for module in (_runner, flows):
+        monkeypatch.setattr(module, "factored_blocks", blocks)
     res = sf.integrate("rescaled", init, gt, 0.5, sf.StepControls(dt=0.05))
     steps = len(res.records) - 1
     assert steps == 10
-    assert calls == {"eigh": 4 * steps, "eigvalsh": steps + 1, "FactoredPoint": 0}
+    assert calls == {"eigh": 4 * steps + 1, "eigvalsh": 0, "FactoredPoint": 0,
+                     "factored_blocks": steps + 1}
     states = res.states
     assert calls["FactoredPoint"] == steps and res.states is states
     assert len(states) == steps + 1 and states[0].point is init
