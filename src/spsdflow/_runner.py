@@ -50,8 +50,8 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
     run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
     whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
-    ``advance``.  ``core`` is the system's one decomposition of each logged core S
-    (``np.linalg.eigvalsh`` or ``np.linalg.eigh``): sigma_r is logged from its ascending
+    ``advance``.  ``core`` is the one decomposition of each logged core S (descent's
+    ``np.linalg.eigvalsh``, the flows' ``np.linalg.eigh``): sigma_r is logged from its ascending
     eigenvalues, and ``advance(x, U, S, A, B, eig)`` gets it as a tuple, ``(w,)`` or ``(w, P)``.
     Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm) to
     the terminal point, and its factors.

@@ -47,6 +47,8 @@ SCENARIOS = (
 )
 
 _ESCAPE_DEFICIT = {"escape_s_r1": 1, "escape_s_r2": 2}   # rank deficit of the start
+# The stepsize rule of the scenarios that fix theirs; the others take ``mode``.
+_PINNED_MODE = {"example_1_1": "fixed", "global_fixed": "fixed", "global_varying": "varying"}
 
 
 def default_eigenvalues(r: int) -> tuple[float, ...]:
@@ -88,7 +90,6 @@ class ExperimentConfig:
             object.__setattr__(self, "n", 3)
             object.__setattr__(self, "r", 2)
             object.__setattr__(self, "eigenvalues", (2.0, 1.0))
-            object.__setattr__(self, "mode", "fixed")
         for name, least in dict(n=1, r=1, repeats=1, max_iters=0, master_seed=0, workers=1).items():
             value = getattr(self, name)
             if type(value) is not int or value < least:   # JSON ints only: no floats or bools
@@ -105,7 +106,7 @@ class ExperimentConfig:
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
         target_spectrum(eig, self.r)
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "mode", str(self.mode))
+        object.__setattr__(self, "mode", str(_PINNED_MODE.get(self.scenario, self.mode)))
         _gd_config(self)                  # stepsize and iteration controls
         StepControls(dt=self.dt)
 
@@ -163,8 +164,7 @@ def _shared_ground_truth(cfg: ExperimentConfig) -> GroundTruth:
 
 
 def _gd_config(cfg: ExperimentConfig) -> GDConfig:
-    mode = {"global_fixed": "fixed", "global_varying": "varying"}.get(cfg.scenario, cfg.mode)
-    return GDConfig(alpha=cfg.alpha, mode=mode, max_iters=cfg.max_iters, tol_dist=cfg.tol_dist)
+    return GDConfig(alpha=cfg.alpha, mode=cfg.mode, max_iters=cfg.max_iters, tol_dist=cfg.tol_dist)
 
 
 def _random_point(gt: GroundTruth, seed: int) -> FactoredPoint:

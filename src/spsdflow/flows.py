@@ -31,7 +31,6 @@ from .manifold import (
     _finite,
     _overlap_blocks,
     _real,
-    factored_blocks,
     frob,
     mT,
     relative_spectrum,
@@ -117,16 +116,11 @@ def scaled_inverse(S: np.ndarray) -> np.ndarray:
     more), and the inverse does not exist when some other eigenvalue
     vanishes; both cases raise, and so does a non-finite S.
     """
-    return _scaled_inverse(_finite("S", sym(np.asarray(S, dtype=float))))[0]
-
-
-def _scaled_inverse(S: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`scaled_inverse` and sigma_min(S) from one eigh, per core of a stack."""
-    return _scaled_from_eigh(*np.linalg.eigh(S))
+    return _scaled_from_eigh(*np.linalg.eigh(_finite("S", sym(np.asarray(S, dtype=float)))))[0]
 
 
 def _scaled_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_scaled_inverse` from the ascending eigh (w, P) of S: its checks and assembly."""
+    """The rescaled core map: :func:`scaled_inverse` and sigma_min(S) from S's ascending eigh."""
     size = np.abs(relative_spectrum(w))
     if ((size[..., :1] <= TAU_RANK) & (size[..., 1:2] <= TAU_GAP)).any():
         raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
@@ -184,31 +178,34 @@ MAX_DRIFT = 1e-6
 _PLAIN_SIGMA_FLOOR = 1e-14
 
 
-def _raw_plain(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Plain right-hand side on raw factors (stacks give stacks), ``known`` (A, B, eigvalsh(S))."""
-    A, B, w = known or (*factored_blocks(U, gt)[:2], np.linalg.eigvalsh(S))
+def _plain_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The plain core map: (S^-1, 1) from the ascending eigh (w, P) of S."""
     if (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
         raise SingularCoreError("core is numerically singular; switch to the rescaled system")
-    dU = mT(np.linalg.solve(S, mT(B)))
-    return dU, A - S
+    return (P / w[..., None, :]) @ mT(P), np.ones(w.shape[:-1])
 
 
-def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
-                  ) -> tuple[np.ndarray, np.ndarray]:
-    """Rescaled right-hand side, as :func:`_raw_plain` from (A, B, *eigh(S)); S may be singular.
+def _raw(core_map, U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
+         ) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side dU = B phi, dS = (A - S) c on raw factors (stacks give stacks).
 
-    Without ``known``, dU = B phi is V (D C phi) - U (A phi): neither X U nor B is built.
+    ``(phi, c) = core_map(w, P)`` from the ascending eigh of S.  ``known`` is the runner's
+    (A, B, w, P); without it dU is V (D C phi) - U (A phi): neither X U nor B is built.
     """
     if known is None:
         _, DC, A = _overlap_blocks(U, gt)
-        phi, smin = _scaled_inverse(S)
+        phi, c = core_map(*np.linalg.eigh(S))
         dU = gt.U @ (DC @ phi) - U @ (A @ phi)
     else:
         A, B, w, P = known
-        phi, smin = _scaled_from_eigh(w, P)
+        phi, c = core_map(w, P)
         dU = B @ phi
-    return dU, (A - S) * smin[..., None, None]
+    return dU, (A - S) * c[..., None, None]
+
+
+def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
+    """The rescaled right-hand side on raw factors; S may be singular."""
+    return _raw(_scaled_from_eigh, U, S, gt)
 
 
 def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -217,7 +214,7 @@ def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     The reconstruction dU S U^T + U dS U^T + U S dU^T equals the negative
     projected gradient exactly.  Raises on a (numerically) singular core.
     """
-    dU, dS = _raw_plain(state.point.U, state.point.S, gt)
+    dU, dS = _raw(_plain_from_eigh, state.point.U, state.point.S, gt)
     return FlowDerivative(dU, dS)
 
 
@@ -231,7 +228,7 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     return FlowDerivative(dU, dS)
 
 
-_SYSTEMS = {"dlra": _raw_plain, "rescaled": _raw_rescaled}
+_SYSTEMS = {"dlra": _plain_from_eigh, "rescaled": _scaled_from_eigh}
 
 
 def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
@@ -260,7 +257,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     _real("t_end", t_end, zero=True)
-    rhs = _SYSTEMS[system]
+    core_map = _SYSTEMS[system]
     ctl = controls or StepControls()
 
     def stop(t, dist, sigma, grad):
@@ -269,10 +266,10 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
 
     def advance(t, U, S, A, B, eig):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = rhs(U, S, gt, (A, B, *eig))    # the runner's blocks and core decomposition
-        kU2, kS2 = rhs(U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
-        kU3, kS3 = rhs(U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
-        kU4, kS4 = rhs(U + h * kU3, S + h * kS3, gt)
+        kU1, kS1 = _raw(core_map, U, S, gt, (A, B, *eig))    # the runner's blocks and eigh
+        kU2, kS2 = _raw(core_map, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
+        kU3, kS3 = _raw(core_map, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
+        kU4, kS4 = _raw(core_map, U + h * kU3, S + h * kS3, gt)
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
@@ -282,8 +279,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
                                 "reduce dt")
         return t + h, U, S
 
-    core = np.linalg.eigh if system == "rescaled" else np.linalg.eigvalsh
-    return _runner.run_blocks(count, build, gt, core, stop, advance, observe)
+    return _runner.run_blocks(count, build, gt, np.linalg.eigh, stop, advance, observe)
 
 
 @dataclass

@@ -228,14 +228,21 @@ def test_criterion_07_extension_function_limits():
 # ---------------------------------------------------------------- criterion 8
 
 def _polyline_gap(P, Q):
+    # Largest distance from a point of P to the polyline Q.  Each point is measured against
+    # the 8 segments whose midpoints are nearest (a BLAS expansion of the squared distance),
+    # so the gap is never below the distance to the whole polyline.
     worst = 0.0
     seg = Q[1:] - Q[:-1]
     seg_nrm = np.maximum(np.sum(seg * seg, axis=1), 1e-300)
-    for p in P:
-        a = Q[:-1] - p
-        tt = np.clip(-np.sum(a * seg, axis=1) / seg_nrm, 0.0, 1.0)
-        closest = a + tt[:, None] * seg
-        worst = max(worst, float(np.sqrt(np.sum(closest * closest, axis=1).min())))
+    mid = Q[:-1] + 0.5 * seg
+    k = min(8, len(seg))
+    for lo in range(0, len(P), 256):
+        p = P[lo:lo + 256]
+        near = np.argpartition(np.sum(mid * mid, axis=1) - 2 * p @ mid.T, k - 1, axis=1)[:, :k]
+        a = Q[near] - p[:, None, :]
+        tt = np.clip(-np.sum(a * seg[near], axis=2) / seg_nrm[near], 0.0, 1.0)
+        closest = a + tt[..., None] * seg[near]
+        worst = max(worst, float(np.sqrt(np.sum(closest * closest, axis=2).min(axis=1).max())))
     return worst
 
 

@@ -314,6 +314,19 @@ def test_cli_runs_scenario(tmp_path, capsys):
     assert (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize("mode", ["fixed", "varying"])
+@pytest.mark.parametrize("scenario", ["global-fixed", "global-varying"])
+def test_cli_global_sidecar_records_the_rule_that_stepped(tmp_path, monkeypatch, scenario, mode):
+    # a global scenario steps with its own rule whatever --mode says; summary.json records it
+    stepped, run = [], experiments.run_rgd_batch
+    monkeypatch.setattr(experiments, "run_rgd_batch",
+                        lambda *args: stepped.append(args[3].mode) or run(*args))
+    assert main([scenario, "--n", "8", "--r", "2", "--repeats", "2", "--mode", mode,
+                 "--out-dir", str(tmp_path)]) == 0
+    sidecar = json.loads((tmp_path / "summary.json").read_text())
+    assert stepped == [scenario.split("-")[1]] == [sidecar["config"]["mode"]]
+
+
 def test_cli_config_file_equivalent(tmp_path):
     cfg = small_cfg(out_dir=str(tmp_path / "direct"))
     sf.run_experiment(cfg)

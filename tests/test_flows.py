@@ -108,7 +108,7 @@ def test_rescaled_rhs_r_by_r_form_matches_the_n_by_r_form():
         XU = np.stack([gt.apply(u) for u in U.reshape(-1, 8, 3)]).reshape(U.shape)
         A = sym(mT(U) @ XU)
         B = XU - U @ A
-        phi, smin = flows._scaled_inverse(S)
+        phi, smin = flows._scaled_from_eigh(*np.linalg.eigh(S))
         assert not singular or frob(phi - pp) < 1e-12
         dU, dS = _raw_rescaled(U, S, gt)
         assert frob(dU - B @ phi) <= 1e-13 * frob(XU)
@@ -245,10 +245,11 @@ def test_first_stop_rule_that_holds_wins(system):
     assert (res.status, len(res.records)) == ("converged", 1)
 
 
-def test_rescaled_step_decomposes_each_core_once(monkeypatch):
-    # the runner's eigh of each logged core gives sigma_r and, in stage 1, both
-    # S^-1 sigma_min and sigma_min; stages 2-4 take one eigh each and the r x r
-    # blocks, not factored_blocks; states wait until read
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_flow_step_decomposes_each_core_once(monkeypatch, system):
+    # the runner's eigh of each logged core gives sigma_r and, in stage 1, the core
+    # map (phi, c); stages 2-4 take one eigh each and the r x r blocks, not
+    # factored_blocks; states wait until read
     gt = small_instance(11)
     rng = np.random.default_rng(3)
     init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
@@ -264,10 +265,8 @@ def test_rescaled_step_decomposes_each_core_once(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
     monkeypatch.setattr(sf.FactoredPoint, "__post_init__",
                         counted("FactoredPoint", sf.FactoredPoint.__post_init__))
-    blocks = counted("factored_blocks", factored_blocks)
-    for module in (_runner, flows):
-        monkeypatch.setattr(module, "factored_blocks", blocks)
-    res = sf.integrate("rescaled", init, gt, 0.5, sf.StepControls(dt=0.05))
+    monkeypatch.setattr(_runner, "factored_blocks", counted("factored_blocks", factored_blocks))
+    res = sf.integrate(system, init, gt, 0.5, sf.StepControls(dt=0.05))
     steps = len(res.records) - 1
     assert steps == 10
     assert calls == {"eigh": 4 * steps + 1, "eigvalsh": 0, "FactoredPoint": 0,
@@ -279,28 +278,6 @@ def test_rescaled_step_decomposes_each_core_once(monkeypatch):
         assert st.t == res.records[k, 0]
         dense = frob(st.point.dense() - gt.dense())
         assert abs(dense - res.records[k, 1]) <= 1e-12 * frob(gt.dense())
-
-
-def test_dlra_step_reuses_the_logged_sigma(monkeypatch):
-    # RK4 stage 1 takes sigma_r from the runner's eigvalsh at the logged point, so a
-    # plain-flow step costs four eigvalsh (the logged point's and stages 2-4) and no eigh
-    gt = small_instance(11)
-    rng = np.random.default_rng(3)
-    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
-    calls = {"eigh": 0, "eigvalsh": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
-    res = sf.integrate("dlra", init, gt, 0.5, sf.StepControls(dt=0.05))
-    steps = len(res.records) - 1
-    assert steps == 10
-    assert calls == {"eigh": 0, "eigvalsh": 4 * steps + 1}
 
 
 def test_integrate_converges_from_generic_start():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow.flows import ExtensionError, _scaled_inverse
+from spsdflow.flows import ExtensionError, scaled_inverse
 from spsdflow.manifold import TAU_RANK, frob, orth_defect, relative_spectrum, sym, truncate
 from spsdflow.oracles import ChartDomainError
 
@@ -152,8 +152,8 @@ def test_relative_rank_decisions_are_exact_at_the_tolerance():
     assert sf.FactoredPoint(np.eye(3)[:, :2], np.diag([up, 0.5])).in_manifold()
     for w, message in (([TAU_RANK, 1e-8, 1.0], "not simple"), ([-0.5, TAU_RANK, 1.0], "non-minimal")):
         with pytest.raises(ExtensionError, match=message):
-            _scaled_inverse(np.diag(w))
-        _scaled_inverse(np.diag([up if x == TAU_RANK else x for x in w]))
+            scaled_inverse(np.diag(w))
+        scaled_inverse(np.diag([up if x == TAU_RANK else x for x in w]))
     Q = np.eye(4)[:, [0, 2]]
     U = lambda s: np.array([[-0.5, 0.0], [0.0, s], [np.sqrt(0.75), 0.0], [0.0, 1.0]])
     with pytest.raises(ChartDomainError):           # U1 + Q1 = diag(0.5, s)
