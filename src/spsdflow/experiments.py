@@ -11,6 +11,8 @@ regardless of the parallelism degree or batching.
 from __future__ import annotations
 
 import json
+import math
+import os
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -47,8 +49,21 @@ SCENARIOS = (
 )
 
 _ESCAPE_DEFICIT = {"escape_s_r1": 1, "escape_s_r2": 2}   # rank deficit of the start
+_FLOW_SYSTEM = {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}
+# Peak bytes over n^2 of one escape start's dense retraction through the full eigh, which any
+# start may take: 42.3 and 41.3 above a 38 MB base at n = 1000 and 2000 (one start, one BLAS
+# thread).  The top-r subset solve peaks at 22.5, 23.7 and 23.9 at n = 1000, 2000 and 3000.
+_START_BYTES_PER_ENTRY = 42
 # The stepsize rule of the scenarios that fix theirs; the others take ``mode``.
 _PINNED_MODE = {"example_1_1": "fixed", "global_fixed": "fixed", "global_varying": "varying"}
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory by ``os.sysconf``; inf where the platform does not say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
 
 
 def default_eigenvalues(r: int) -> tuple[float, ...]:
@@ -109,6 +124,17 @@ class ExperimentConfig:
         object.__setattr__(self, "mode", str(_PINNED_MODE.get(self.scenario, self.mode)))
         _gd_config(self)                  # stepsize and iteration controls
         StepControls(dt=self.dt)
+        steps = self.t_end / self.dt      # ceil(steps) > max_iters exactly when steps > max_iters
+        if self.scenario in _FLOW_SYSTEM and steps > self.max_iters:
+            count = math.ceil(steps) if steps < math.inf else steps
+            raise ValueError(f"the flow needs ceil(t_end / dt) = {count:.15g} RK4 steps, "
+                             f"above max_iters = {self.max_iters}")
+        at_once = min(self.workers, self.repeats)          # one start per worker
+        peak, limit = _START_BYTES_PER_ENTRY * self.n**2 * at_once, _physical_memory()
+        if deficit and peak > limit:
+            raise ValueError(f"escape starts at n = {self.n} need about {peak / 2**30:.3g} GiB "
+                             f"({at_once} at once), above the {limit / 2**30:.3g} GiB of "
+                             f"physical memory")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -193,7 +219,7 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
     """
     gt = _shared_ground_truth(cfg)
     starts = _starts(cfg, gt, seeds)
-    if system := {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}.get(cfg.scenario):
+    if system := _FLOW_SYSTEM.get(cfg.scenario):
         runs = _integrate_batch(system, len(seeds), starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
         cols = FlowResult.columns
         return [RunResult(seed, status, rows, cols,

@@ -198,7 +198,8 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
     event) are resampled, up to 16 draws in all.
     """
-    U, S = _perturbed(tup.U[None], tup.S[None], epsilon, [_tagged_rng(seed, tag=2)])
+    U, S = _perturbed(tup.U[None], tup.S[None], tup.point.d_kept, epsilon,
+                      [_tagged_rng(seed, tag=2)])
     return FactoredPoint(U[0], S[0])
 
 
@@ -207,21 +208,26 @@ def _escape_starts(sp: SpuriousPoint, gt: GroundTruth, epsilon: float, seeds: li
     pairs = [(int(g.integers(2**63)), int(g.integers(2**63)))     # (s1, s2) of each run seed
              for g in map(np.random.default_rng, seeds)]
     U, S = _tuples(sp, gt, *_haar_fill(sp, gt, [_tagged_rng(s1, tag=1) for s1, _ in pairs]))[:2]
-    return _perturbed(U, S, epsilon, [_tagged_rng(s2, tag=2) for _, s2 in pairs])
+    return _perturbed(U, S, sp.d_kept, epsilon, [_tagged_rng(s2, tag=2) for _, s2 in pairs])
 
 
-def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, draws: int = 16
-               ) -> tuple:
+def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float, rngs: list,
+               draws: int = 16) -> tuple:
     """Stacked (U, S) of :func:`perturb_near` at the tuples (U, S), one generator each.
 
     Sub-stacks of ``dense_stack(n)`` dense W = sym(U S U^T) + epsilon E are built in one buffer
     for one retraction; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
+    The retraction starts from the tuples' U, whose power iterates converge to W's top
+    ``len(d_kept)`` eigenvectors by Weyl's bound: ||epsilon E||_2 <= epsilon, so those values
+    exceed min(d_kept) - epsilon and the others are at most epsilon in size.
     """
     _real("epsilon", epsilon)
     if not draws:
         raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
     R, n, r = U.shape
     size = _runner.dense_stack(n)
+    low = min(d_kept, default=0.0) - epsilon
+    rate = epsilon / low if low > 0 else 1.0
     US = U @ S
     buf = np.empty((min(size, R), n, n))
     parts = []                            # (U, S, deficient) per sub-stack
@@ -234,11 +240,11 @@ def _perturbed(U: np.ndarray, S: np.ndarray, epsilon: float, rngs: list, draws: 
             E = sym(rng.standard_normal((n, n)))
             E /= frob(E)
             w += epsilon * E
-        del E                             # before eigh's own copies: peak memory at large n
-        parts.append(_dense_retract(W, r))
+        del E                             # before the eigensolver's own copies: peak memory
+        parts.append(_dense_retract(W, r, U[lo:hi], r - len(d_kept), rate))
     U_out, S_out, deficient = (np.concatenate(v) for v in zip(*parts))   # keeps U's layout
     if deficient.any():                   # such a start draws again from its generator
         redo = np.flatnonzero(deficient)
-        U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], epsilon, [rngs[i] for i in redo],
-                                              draws - 1)
+        U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], d_kept, epsilon,
+                                              [rngs[i] for i in redo], draws - 1)
     return U_out, S_out

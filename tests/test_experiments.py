@@ -7,6 +7,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,17 +49,23 @@ _positive = st.floats(min_value=1e-6, max_value=1e6)
 
 @st.composite
 def valid_configs(draw):
-    """Any valid configuration: every scenario, n - r >= 2 and r >= 3 (escape from deficit two)."""
+    """Any valid configuration: every scenario, n - r >= 2 and r >= 3 (escape from deficit two).
+
+    A flow's t_end stays within max_iters steps of dt: ceil(t_end / dt) <= max_iters.
+    """
     n = draw(st.integers(5, 40))
     r = draw(st.integers(3, n - 2))
     eigenvalues = draw(st.none() | st.lists(_positive, min_size=r, max_size=r, unique=True))
+    scenario = draw(st.sampled_from(SCENARIOS))
+    max_iters, dt = draw(st.integers(0, 10**6)), draw(_positive)
+    flow = scenario in ("flow_dlra", "flow_rescaled")
     return ExperimentConfig(
-        scenario=draw(st.sampled_from(SCENARIOS)), n=n, r=r,
+        scenario=scenario, n=n, r=r,
         eigenvalues=eigenvalues, alpha=draw(_positive),
         mode=draw(st.sampled_from(["fixed", "varying"])), epsilon=draw(_positive),
-        repeats=draw(st.integers(1, 1000)), max_iters=draw(st.integers(0, 10**6)),
+        repeats=draw(st.integers(1, 1000)), max_iters=max_iters,
         master_seed=draw(st.integers(0, 2**63)), tol_dist=draw(_positive),
-        dt=draw(_positive), t_end=draw(st.floats(0.0, 1e6)),
+        dt=dt, t_end=draw(st.floats(0.0, min(1e6, max_iters * dt * (1 - 1e-9)) if flow else 1e6)),
         out_dir=draw(st.none() | st.text(max_size=12)), workers=draw(st.integers(1, 64)))
 
 
@@ -380,6 +387,46 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, steps", [(["--t-end", "1e300"], "1e+302"),
+                                          (["--dt", "1e-9", "--t-end", "5"], "5000000000")])
+def test_flow_longer_than_max_iters_steps_exits_2_before_any_step(monkeypatch, capsys, flags,
+                                                                   steps):
+    # each of these ran until it was killed: 1e302 and 5e9 RK4 steps under max_iters = 5000
+    monkeypatch.setattr(_runner, "run_blocks", lambda *a: pytest.fail("a flow stepped"))
+    assert main(["flow-rescaled", "--n", "8", "--r", "2"] + flags) == 2
+    err = capsys.readouterr().err
+    assert f"ceil(t_end / dt) = {steps} RK4 steps, above max_iters = 5000" in err
+    # the default horizon takes 500 steps of the default dt, and a flow may take max_iters
+    assert ExperimentConfig(scenario="flow_dlra", t_end=50.0).t_end == 50.0
+    with pytest.raises(ValueError, match="5001 RK4 steps"):
+        ExperimentConfig(scenario="flow_dlra", t_end=50.01)
+
+
+@pytest.mark.parametrize("argv, estimate", [
+    (["--n", "20000", "--r", "3"], "15.6 GiB (1 at once)"),
+    (["--n", "5000", "--workers", "9", "--repeats", "9"], "8.8 GiB (9 at once)"),
+])
+def test_escape_start_memory_bound_exits_2_with_the_estimate(monkeypatch, capsys, argv,
+                                                             estimate):
+    # 42 n^2 bytes per start at once, against 8 GiB of physical memory; nothing large allocated
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(_runner, "run_blocks", lambda *a: pytest.fail("a run started"))
+    tracemalloc.start()
+    try:
+        assert main(["escape-s-r1"] + argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert f"need about {estimate}, above the 8 GiB of physical memory" in err
+    ExperimentConfig(scenario="escape_s_r1", n=5000, workers=8, repeats=16)    # 7.82 GiB
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="physical memory"):      # 24 TB on any machine
+        ExperimentConfig(scenario="escape_s_r2", n=10**6)
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

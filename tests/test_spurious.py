@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -144,8 +146,8 @@ def test_structured_perturbation_pattern():
 
 # ------------------------------------------------------- stacked escape starts
 
-def _escape_setup(scenario, n):
-    cfg = ExperimentConfig(scenario=scenario, n=n, r=3, repeats=7, master_seed=4)
+def _escape_setup(scenario, n, r=3, repeats=7, master_seed=4):
+    cfg = ExperimentConfig(scenario=scenario, n=n, r=r, repeats=repeats, master_seed=master_seed)
     gt = experiments._shared_ground_truth(cfg)
     deficit = {"escape_s_r1": 1, "escape_s_r2": 2}[scenario]
     sp = sf.spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
@@ -162,25 +164,69 @@ def _assert_same_start(U, S, point):
     assert U.tobytes() == point.U.tobytes() and S.tobytes() == point.S.tobytes()
 
 
+def _draws(sp, gt, radius, seed, count=1):
+    """The seed's tuple and its first ``count`` dense W = U S U^T + radius E, as perturb_near draws."""
+    s1, s2 = _seed_pair(seed)
+    tup = sf.sample_spurious_tuple(sp, gt, seed=s1)
+    rng = spurious._tagged_rng(s2, tag=2)
+    W = []
+    for _ in range(count):
+        E = sym(rng.standard_normal((gt.n, gt.n)))
+        E /= frob(E)
+        W.append(tup.factored().dense() + radius * E)
+    return tup, W
+
+
+def _rate(sp, radius):
+    """Weyl's bound on the power steps' contraction, as the escape starts derive it."""
+    return radius / (sp.d_kept.min() - radius)
+
+
+def _counting(monkeypatch, *names):
+    """Record each call of the np.linalg functions as (name, shape of its first argument)."""
+    calls = []
+    for name in names:
+        def wrapper(A, *args, _fn=getattr(np.linalg, name), _name=name, **kwargs):
+            calls.append((_name, A.shape))
+            return _fn(A, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, wrapper)
+    return calls
+
+
 @pytest.mark.parametrize("scenario", ["escape_s_r1", "escape_s_r2"])
 @pytest.mark.parametrize("n", [8, 30, 100])
 def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
     # one stack per block builds, seed by seed, what the public samplers build one at a time
     cfg, gt, sp, radius, seeds = _escape_setup(scenario, n)
+    k = sp.r - sp.s
     serial = []
     for seed in seeds:
         s1, s2 = _seed_pair(seed)
         serial.append(sf.perturb_near(sf.sample_spurious_tuple(sp, gt, seed=s1), radius, seed=s2))
-    # dense sub-stacks of one matrix, of two (the last one partial), and the default
-    # (every start in one at n = 8 and 30, six and one at n = 100): one eigh each
-    eigh, eighs = np.linalg.eigh, []
-    monkeypatch.setattr(np.linalg, "eigh", lambda W: eighs.append(len(W)) or eigh(W))
+    # dense sub-stacks of one matrix, of two (the last one partial), and the default (every
+    # start in one at n = 8 and 30, six and one at n = 100).  Per sub-stack: one eigvalsh of its
+    # dense matrices and one Rayleigh-Ritz eigh of their (r + k) x (r + k) projections; a second
+    # one when a start needs a second shift-invert step, and one dense eigh of the starts that
+    # are still not certified.  Those starts are the same at every sub-stack size.
+    one = None                            # per start: Rayleigh-Ritz passes, dense eigh
     for entries, sizes in ((n**2, [1] * 7), (2 * n**2, [2, 2, 2, 1]),
                            (_runner.BLOCK_ENTRIES, [6, 1] if n == 100 else [7])):
-        monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
-        eighs.clear()
-        U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
-        assert eighs == sizes
+        with monkeypatch.context() as m:
+            m.setattr(_runner, "BLOCK_ENTRIES", entries)
+            calls = _counting(m, "eigh", "eigvalsh")
+            U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+        subs = []                         # the calls of each sub-stack
+        for call in calls:
+            subs.append([call]) if call[0] == "eigvalsh" else subs[-1].append(call)
+        ritz = [("eigh", (m, 3 + k, 3 + k)) for m in sizes]
+        assert [c[:2] for c in subs] == [[("eigvalsh", (m, n, n)), e] for m, e in zip(sizes, ritz)]
+        passes = [c.count(e) for c, e in zip(subs, ritz)]
+        dense = [sum(shape[0] for _, shape in c[2:] if shape[1:] == (n, n)) for c in subs]
+        assert [len(c) for c in subs] == [1 + p + (d > 0) for p, d in zip(passes, dense)]
+        one = (passes, dense) if one is None else one
+        parts = [slice(lo, lo + m) for lo, m in zip(np.cumsum([0] + sizes), sizes)]
+        assert passes == [max(one[0][part]) for part in parts]
+        assert dense == [sum(one[1][part]) for part in parts]
         # laid out as the runner's stack of the points, with each U column-major as retract's:
         # descent rounds differently on a row-major copy
         assert (U.strides, S.strides) == tuple(x.strides for x in _runner.stack(serial))
@@ -189,12 +235,28 @@ def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
             _assert_same_start(U[i], S[i], point)
 
 
+@pytest.mark.parametrize("scenario, n, r, repeats, master_seed", [
+    *((scenario, n, 3, 7, 4) for scenario in ("escape_s_r1", "escape_s_r2") for n in (8, 30, 100)),
+    # seeds with hard starts: at n = 30 one shift-invert step leaves a residual of 2e-13 that
+    # the gap below the top r turns into a 5e-13 ||W||_F error; at n = 8 a singular shift
+    # leaves a 1.5e-12 residual from the other shift's vector alone
+    ("escape_s_r1", 30, 3, 100, 0), ("escape_s_r2", 8, 5, 400, 0)])
+def test_starts_agree_with_the_dense_retraction(scenario, n, r, repeats, master_seed):
+    # the top-r subset solve gives the truncation that retract's full eigh gives
+    cfg, gt, sp, radius, seeds = _escape_setup(scenario, n, r, repeats, master_seed)
+    U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+    for i, seed in enumerate(seeds):     # the first full-rank draw; at n = 8, r = 5 many are not
+        W = next(W for W in _draws(sp, gt, radius, seed, 16)[1]
+                 if not sf.retract(W, r).rank_deficient)
+        assert frob(U[i] @ S[i] @ U[i].T - sf.retract(W, r).point.dense()) <= 1e-13 * frob(W)
+
+
 def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
     cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", 30)
     hit, calls = 2, []
     truncate = manifold.truncate
 
-    def forced(w, V, r):                  # the first eigh's third start comes out rank-deficient
+    def forced(w, V, r):                  # the first sub-stack's third start is rank-deficient
         Vr, S, deficient = truncate(w, V, r)
         if not calls:
             deficient = deficient.copy()
@@ -205,37 +267,87 @@ def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
     monkeypatch.setattr(manifold, "truncate", forced)
     U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
     monkeypatch.undo()
-    assert calls == [len(seeds), 1]       # one more eigh, for the redrawn start alone
+    assert calls == [len(seeds), 1]       # one more retraction, for the redrawn start alone
     for i, seed in enumerate(seeds):
-        # the seed's first draw, or its second for the hit one, through the public retract
-        s1, s2 = _seed_pair(seed)
-        tup = sf.sample_spurious_tuple(sp, gt, seed=s1)
-        rng = spurious._tagged_rng(s2, tag=2)
-        for _ in range(2 if i == hit else 1):
-            E = sym(rng.standard_normal((gt.n, gt.n)))
-            E /= frob(E)
-        _assert_same_start(U[i], S[i], sf.retract(tup.factored().dense() + radius * E, 3).point)
+        # the seed's first draw, or its second for the hit one, through the same kernel alone
+        tup, W = _draws(sp, gt, radius, seed, 2 if i == hit else 1)
+        U1, S1, _ = manifold._dense_retract(W[-1][None], 3, tup.U[None], 1, _rate(sp, radius))
+        _assert_same_start(U[i], S[i], sf.FactoredPoint(U1[0], S1[0]))
 
 
-@pytest.mark.parametrize("entries, eighs", [(None, 3), (3 * 100**2, 5), (100**2, 13)])
-def test_escape_block_call_budget(monkeypatch, entries, eighs):
-    # a block of R starts costs ceil(R / m) dense eigh calls, m = BLOCK_ENTRIES // n**2
-    # matrices per sub-stack (6 by default at n = 100), and two QRs: fill columns and P
+def test_certificate_failure_recomputes_that_matrix_alone_by_eigh(monkeypatch):
+    cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", 30)
+    U0, S0 = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+    hit, eigvalsh = 4, np.linalg.eigvalsh
+
+    def off(W):                           # the hit start's top eigenvalue misses its Ritz value
+        w = eigvalsh(W)
+        w[hit, -1] += 1e-6
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", off)
+    calls = _counting(monkeypatch, "eigh")
+    U, S = experiments._starts(cfg, gt, seeds)(0, len(seeds))
+    monkeypatch.undo()
+    # both shift-invert steps' Rayleigh-Ritz pairs fail for the hit start alone
+    assert calls == [("eigh", (7, 4, 4))] * 2 + [("eigh", (1, 30, 30))]
+    for i, seed in enumerate(seeds):
+        if i == hit:
+            W = _draws(sp, gt, radius, seed)[1][0]
+            _assert_same_start(U[i], S[i], sf.retract(W, 3).point)
+        else:
+            assert U[i].tobytes() == U0[i].tobytes() and S[i].tobytes() == S0[i].tobytes()
+
+
+def test_exactly_singular_shift_takes_eigh_for_that_matrix_alone():
+    # eigvalsh returns a diagonal matrix's entries exactly, so each shifted solve is exactly
+    # singular: the stacked solve raises, that matrix goes through eigh, and its stack-mate is
+    # unchanged
+    cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r2", 8)
+    tup, (W,) = _draws(sp, gt, radius, seeds[0])
+    D = np.diag([3.0, 0.75, 0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(D - np.linalg.eigvalsh(D)[-3] * np.eye(8), np.ones(8))
+    Y = np.stack([tup.U, np.eye(8)[:, :3]])
+    stack = np.stack([W, D])
+    U, S, deficient = manifold._dense_retract(stack, 3, Y, 2, _rate(sp, radius))
+    assert np.array_equal(stack, [W, D])                     # the shifted diagonal is restored
+    U1, S1, _ = manifold._dense_retract(W[None], 3, tup.U[None], 2, _rate(sp, radius))
+    _assert_same_start(U[0], S[0], sf.FactoredPoint(U1[0], S1[0]))
+    _assert_same_start(U[1], S[1], sf.retract(D, 3).point)
+    assert not deficient.any()
+
+
+def test_escape_that_cannot_converge_goes_straight_to_eigh(monkeypatch):
+    # at epsilon = 0.5 the radius is half the kept value 2, so Weyl's bound on the power steps'
+    # contraction, radius / (2 - radius), is 1 up to rounding: no eigvalsh or solve is spent,
+    # one eigh per sub-stack
+    cfg = ExperimentConfig(scenario="escape_s_r1", n=12, r=2, repeats=7, epsilon=0.5)
+    gt = experiments._shared_ground_truth(cfg)
+    sp = sf.spurious_point(gt, [True, False])
+    radius = cfg.epsilon * frob(sp.dense())
+    assert 1 - 1e-15 < _rate(sp, radius) <= 1.0
+    calls = _counting(monkeypatch, "eigh", "eigvalsh", "solve")
+    U, S = experiments._starts(cfg, gt, list(range(7)))(0, 7)
+    monkeypatch.undo()
+    assert calls == [("eigh", (7, 12, 12))]
+    for i in range(7):
+        _assert_same_start(U[i], S[i], sf.retract(_draws(sp, gt, radius, i)[1][0], 2).point)
+
+
+@pytest.mark.parametrize("entries, subs", [(None, 3), (3 * 100**2, 5), (100**2, 13)])
+def test_escape_block_call_budget(monkeypatch, entries, subs):
+    # a block of R starts takes ceil(R / m) dense sub-stacks, m = BLOCK_ENTRIES // n**2 (6 by
+    # default at n = 100), and two QRs: fill columns and P.  Each sub-stack takes one eigvalsh,
+    # 10 power steps' QRs (Weyl's rate 0.038 to 2e-14) and one of [Y, X], one shift-invert
+    # solve, and one Rayleigh-Ritz eigh: none of these starts needs a second step
     cfg = ExperimentConfig(scenario="escape_s_r1", n=100, r=5, repeats=13)
     gt = experiments._shared_ground_truth(cfg)
     build = experiments._starts(cfg, gt, list(range(13)))
     if entries is not None:
         monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
-    calls = {"eigh": 0, "qr": 0, "eigvalsh": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    calls = _counting(monkeypatch, "eigh", "qr", "eigvalsh", "solve")
     U, S = build(0, 13)
     assert U.shape == (13, 100, 5)
-    assert calls == {"eigh": eighs, "qr": 2, "eigvalsh": 0}
+    counts = Counter(name for name, _ in calls)
+    assert counts == {"eigh": subs, "qr": 2 + 11 * subs, "eigvalsh": subs, "solve": subs}
