@@ -43,18 +43,18 @@ def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
 
 
 def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,
-               advance: Callable, observe: Callable | None) -> Iterator[tuple]:
+               advance: Callable, observe: Callable | None, column=None) -> Iterator[tuple]:
     """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
     run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
     whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
-    ``advance``.  ``core`` is the one decomposition of each logged core S (descent's
-    ``np.linalg.eigvalsh``, the flows' ``np.linalg.eigh``): sigma_r is logged from its ascending
-    eigenvalues, and ``advance(x, U, S, A, B, eig)`` gets it as a tuple, ``(w,)`` or ``(w, P)``.
-    Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm) to
-    the terminal point, and its factors.
+    ``advance``.  ``core`` is the one decomposition of each logged core S as a tuple (descent's
+    ``(w,)`` of ``np.linalg.eigvalsh``, the flows' ``(w, P)`` of ``np.linalg.eigh``): sigma_r is
+    logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig)`` gets it.
+    Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm, and
+    ``column(U, S)`` when given) to the terminal point, and its factors.
     """
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     lo = 0                                # index of the block's first start
@@ -64,15 +64,15 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi
         ends = {}
-        log = []                          # rows (id, x, dist, sigma, grad) per point
+        log = []                          # rows (id, x, dist, sigma, grad[, column]) per point
         x = 0
         while True:
             A, B, C = factored_blocks(U, gt)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
             eig = core(S)
-            eig = (eig,) if isinstance(eig, np.ndarray) else tuple(eig)
             sigma = eig[0][:, 0]
-            log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad]))
+            extra = [] if column is None else [column(U, S)]
+            log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad, *extra]))
             done = np.zeros(ids.size, dtype=bool)
             for mask, status in stop(x, dist, sigma, grad):
                 for j in np.flatnonzero(mask & ~done):
@@ -80,12 +80,13 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
                 done |= mask
             if done.all():
                 break
-            if done.any():
-                U, S, A, B, ids = (v[~done] for v in (U, S, A, B, ids))
-                eig = tuple(v[~done] for v in eig)
+            if done.any():                # only then: the filter copies every per-run array
+                ids, U, S, A, B, *eig = (v[~done] for v in (ids, U, S, A, B, *eig))
             if observe is not None:
                 observe(x, ids, U, S)
             x, U, S = advance(x, U, S, A, B, eig)
         rows = np.concatenate(log)
-        for i, (status, U, S) in sorted(ends.items()):
-            yield status, rows[rows[:, 0] == i, 1:], U, S
+        rows = rows[np.argsort(rows[:, 0], kind="stable")]      # by run, each in step order
+        runs = np.split(rows[:, 1:], np.flatnonzero(np.diff(rows[:, 0])) + 1)
+        for (_, (status, U, S)), run in zip(sorted(ends.items()), runs):
+            yield status, run, U, S

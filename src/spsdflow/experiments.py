@@ -26,7 +26,7 @@ from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
 from .manifold import (FactoredPoint, GroundTruth, _int, _real, factored_blocks, frob,
                        residual_norms, target_spectrum)
-from .rgd import GDConfig, run_rgd_batch
+from .rgd import GDConfig, RgdRun, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
 from .spurious import (
     _escape_starts,
@@ -226,23 +226,17 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
                           {"status": status, **dict(zip(cols, map(float, rows[-1])))})
                 for (status, rows, _, _), seed in zip(runs, seeds)]
     example = cfg.scenario == "example_1_1"
-    dist_limit = [[] for _ in seeds]      # example 1.1: each iterate's distance to its limit
 
-    def observe(k, ids, U, S):
-        dist = residual_norms(U, S, *factored_blocks(U, _EXAMPLE_LIMIT), _EXAMPLE_LIMIT.d)[0]
-        for i, x in zip(ids, dist):
-            dist_limit[i].append(x)
+    def dist_limit(U, S):                 # example 1.1: each iterate's distance to its limit
+        return residual_norms(U, S, *factored_blocks(U, _EXAMPLE_LIMIT), _EXAMPLE_LIMIT.d)[0]
 
-    results = []
-    runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), observe if example else None)
-    for run, seed, col in zip(runs, seeds, dist_limit):
-        terminal = {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
-                    "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm}
-        records, columns = run.records, run.columns
-        if example:
-            records, columns = np.column_stack([records, col]), columns + ("dist_limit",)
-        results.append(RunResult(seed, run.status, records, columns, terminal))
-    return results
+    columns = RgdRun.columns + (("dist_limit",) if example else ())
+    runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), None,
+                         dist_limit if example else None)
+    return [RunResult(seed, run.status, run.records, columns,
+                      {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
+                       "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm})
+            for run, seed in zip(runs, seeds)]
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:

@@ -141,13 +141,13 @@ class RgdRun:
 def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
     """Iterate descent until the target, a stationary boundary point, or the cap.
 
-    Statuses: ``converged_to_X`` when ||Z - X||_F < tol_dist;
-    ``near_spurious`` when the gradient norm falls under ``TAU_GRAD`` while
-    still far from the target (the other family of fixed points);
-    ``max_iters`` otherwise.  A rank-deficient retraction raises
-    :class:`RankDropError`.  In varying mode, runs reach the target only
-    when alpha * sigma_r(X) < 2 (see :class:`GDConfig`).  Distances come
-    from :func:`~spsdflow.manifold.residual_norms`, which stays accurate
+    Statuses: ``converged_to_X`` when ||Z - X||_F < tol_dist; ``near_spurious``
+    when the gradient norm falls under ``TAU_GRAD`` at least ``d[-1] / 2`` from
+    X, half the least distance of a rank-deficient critical point (a run
+    stationary nearer steps on); ``max_iters`` otherwise.  A rank-deficient
+    retraction raises :class:`RankDropError`.  In varying mode, runs reach the
+    target only when alpha * sigma_r(X) < 2 (see :class:`GDConfig`).  Distances
+    come from :func:`~spsdflow.manifold.residual_norms`, which stays accurate
     near the target, so ``converged_to_X`` means the dense ||Z - X||_F is
     below ``tol_dist`` up to rounding.  This is :func:`run_rgd_batch` with a
     batch of one.
@@ -156,14 +156,16 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
 
 
 def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
-                  observe: Callable | None = None) -> Iterator[RgdRun]:
+                  observe: Callable | None = None, column=None) -> Iterator[RgdRun]:
     """Run descent from ``count`` starts together against the shared target.
 
     Yields each run in start order, bit for bit its :func:`run_rgd` run, on the block runner
-    (``build``, ``observe(k, ids, U, S)`` at step k); a rank drop raises :class:`RankDropError`.
+    (``build``, ``observe(k, ids, U, S)`` at step k, ``column(U, S)`` logged as a fifth records
+    column); a rank drop raises :class:`RankDropError`.
     """
     def stop(k, dist, sigma, grad):
-        return [(dist < cfg.tol_dist, "converged_to_X"), (grad < TAU_GRAD, "near_spurious"),
+        spurious = (grad < TAU_GRAD) & (dist >= 0.5 * gt.d[-1])
+        return [(dist < cfg.tol_dist, "converged_to_X"), (spurious, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
     def advance(k, U, S, A, B, eig):
@@ -172,9 +174,10 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
             raise RankDropError(f"iterate left the manifold at step {k}")
         return k + 1, U, S
 
-    runs = _runner.run_blocks(count, build, gt, np.linalg.eigvalsh, stop, advance, observe)
+    runs = _runner.run_blocks(count, build, gt, lambda S: (np.linalg.eigvalsh(S),), stop,
+                              advance, observe, column)
     for status, rows, U, S in runs:
-        yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:].tolist())
+        yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:4].tolist())
 
 
 def tangent_coordinate_basis(frame: EigenFrame) -> list[TangentParam]:

@@ -163,6 +163,37 @@ def test_global_varying_scenario_converges_inside_stability_region():
     assert report.status_counts == {"converged_to_X": 3}
 
 
+@pytest.mark.parametrize("fields, counts", [
+    (dict(scenario="example_1_1", alpha=0.3, repeats=2, max_iters=300), {"near_spurious": 2}),
+    (dict(scenario="example_1_1", alpha=0.3, max_iters=20), {"max_iters": 1}),
+    (dict(scenario="escape_s_r1", n=24, r=3, repeats=4, master_seed=7), {"converged_to_X": 4}),
+    (dict(scenario="escape_s_r1", n=24, r=3, repeats=4, mode="varying", max_iters=10),
+     {"max_iters": 4}),
+    (dict(scenario="escape_s_r2", n=24, r=4, repeats=4, master_seed=7), {"converged_to_X": 4}),
+    (dict(scenario="global_fixed", n=12, r=3, repeats=4, master_seed=3), {"converged_to_X": 4}),
+    (dict(scenario="global_varying", n=12, r=3, repeats=4, master_seed=3), {"converged_to_X": 4}),
+    # a tol_dist below TAU_GRAD: next to the target the gradient test holds first, and
+    # these runs used to end near_spurious at the target
+    (dict(scenario="escape_s_r1", n=30, r=3, repeats=20, tol_dist=5e-9), {"converged_to_X": 20}),
+    (dict(scenario="escape_s_r1", n=30, r=3, repeats=20, tol_dist=5e-9, mode="varying"),
+     {"converged_to_X": 20}),
+    (dict(scenario="global_fixed", n=8, r=2, repeats=20, tol_dist=5e-9), {"converged_to_X": 20}),
+    (dict(scenario="global_varying", n=8, r=2, tol_dist=1e-300, max_iters=2000), {"max_iters": 1}),
+])
+def test_every_descent_terminal_meets_its_status_definition(fields, counts):
+    cfg = ExperimentConfig(**fields)
+    report = sf.run_experiment(cfg)
+    assert report.status_counts == counts
+    margin = 0.5 * min(cfg.eigenvalues)   # half the least distance of a spurious point from X
+    for t in report.terminals:
+        if t["status"] == "converged_to_X":
+            assert t["dist"] < cfg.tol_dist
+        elif t["status"] == "near_spurious":
+            assert t["grad_norm"] < sf.TAU_GRAD and t["dist"] >= margin
+        else:
+            assert (t["status"], t["iters"]) == ("max_iters", cfg.max_iters)
+
+
 def test_random_start_of_run_0_is_generic():
     # global_* and flow_* starts draw from their own stream, not the target's,
     # so run 0's columns reach outside the target's eigenvectors
