@@ -43,18 +43,19 @@ def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
 
 
 def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,
-               advance: Callable, observe: Callable | None, column=None) -> Iterator[tuple]:
+               advance: Callable, observe: Callable | None) -> Iterator[tuple]:
     """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
-    run's arithmetic depends on the others.  A run ends at the first (mask, status) of ``stop``
-    whose mask holds; the rest go to ``observe`` (with indices among all starts), then on by
-    ``advance``.  ``core`` is the one decomposition of each logged core S as a tuple (descent's
-    ``(w,)`` of ``np.linalg.eigvalsh``, the flows' ``(w, P)`` of ``np.linalg.eigh``): sigma_r is
-    logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig)`` gets it.
-    Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm, and
-    ``column(U, S)`` when given) to the terminal point, and its factors.
+    run's arithmetic depends on the others.  At each logged point ``observe(x, ids, U, S)`` sees
+    every live run (``ids`` among all starts), terminal ones too, and returns ``None`` or a list of
+    per-run arrays logged as extra columns, at every call or at none.  Then a run ends at the
+    first (mask, status) of ``stop`` whose mask holds; the rest go on by ``advance``.  ``core`` is
+    the one decomposition of each logged core S as a tuple (descent's ``(w,)`` of ``eigvalsh``,
+    the flows' ``(w, P)`` of ``eigh``): sigma_r is logged from its ascending eigenvalues, and
+    ``advance(x, U, S, A, B, eig)`` gets it.  Yields per run its status, its rows (x from 0 in
+    each block, dist, sigma_r, grad_norm, observed columns) to the terminal point, and factors.
     """
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     lo = 0                                # index of the block's first start
@@ -64,14 +65,14 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi
         ends = {}
-        log = []                          # rows (id, x, dist, sigma, grad[, column]) per point
+        log = []                          # rows (id, x, dist, sigma, grad, *observed) per point
         x = 0
         while True:
             A, B, C = factored_blocks(U, gt)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
             eig = core(S)
             sigma = eig[0][:, 0]
-            extra = [] if column is None else [column(U, S)]
+            extra = [] if observe is None else observe(x, ids, U, S) or []
             log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad, *extra]))
             done = np.zeros(ids.size, dtype=bool)
             for mask, status in stop(x, dist, sigma, grad):
@@ -82,8 +83,6 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
                 break
             if done.any():                # only then: the filter copies every per-run array
                 ids, U, S, A, B, *eig = (v[~done] for v in (ids, U, S, A, B, *eig))
-            if observe is not None:
-                observe(x, ids, U, S)
             x, U, S = advance(x, U, S, A, B, eig)
         rows = np.concatenate(log)
         rows = rows[np.argsort(rows[:, 0], kind="stable")]      # by run, each in step order

@@ -5,7 +5,7 @@ Runs are repeated ``repeats`` times (run i uses seed master_seed + i).
 The runs share the target and step together as one batch, descent or flow
 (one chunk of seeds per worker of an optional process pool); a run's result
 does not depend on its batch, so the emitted files are byte-identical
-regardless of the parallelism degree or batching.
+whatever ``workers`` or the blocks (README states the BLAS-thread limit).
 """
 
 from __future__ import annotations
@@ -54,8 +54,10 @@ _FLOW_SYSTEM = {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}
 # start may take: 42.3 and 41.3 above a 38 MB base at n = 1000 and 2000 (one start, one BLAS
 # thread).  The top-r subset solve peaks at 22.5, 23.7 and 23.9 at n = 1000, 2000 and 3000.
 _START_BYTES_PER_ENTRY = 42
-# The stepsize rule of the scenarios that fix theirs; the others take ``mode``.
-_PINNED_MODE = {"example_1_1": "fixed", "global_fixed": "fixed", "global_varying": "varying"}
+# The fields that a scenario fixes, whatever the config gives: example 1.1's closed-form 3-by-3
+# geometry and stepsize rule, and the global scenarios' rules; the others take ``mode``.
+_PINNED = {"example_1_1": {"n": 3, "r": 2, "eigenvalues": (2.0, 1.0), "mode": "fixed"},
+           "global_fixed": {"mode": "fixed"}, "global_varying": {"mode": "varying"}}
 
 
 def _physical_memory() -> float:
@@ -100,11 +102,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; choose from {SCENARIOS}")
-        if self.scenario == "example_1_1":
-            # The closed-form setting is pinned to its 3-by-3 geometry.
-            object.__setattr__(self, "n", 3)
-            object.__setattr__(self, "r", 2)
-            object.__setattr__(self, "eigenvalues", (2.0, 1.0))
+        for name, value in _PINNED.get(self.scenario, {}).items():
+            object.__setattr__(self, name, value)
         for name, least in dict(n=1, r=1, repeats=1, max_iters=0, master_seed=0, workers=1).items():
             value = getattr(self, name)
             if type(value) is not int or value < least:   # JSON ints only: no floats or bools
@@ -121,7 +120,6 @@ class ExperimentConfig:
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
         target_spectrum(eig, self.r)
         object.__setattr__(self, "eigenvalues", eig)
-        object.__setattr__(self, "mode", str(_PINNED_MODE.get(self.scenario, self.mode)))
         _gd_config(self)                  # stepsize and iteration controls
         StepControls(dt=self.dt)
         steps = self.t_end / self.dt      # ceil(steps) > max_iters exactly when steps > max_iters
@@ -145,8 +143,6 @@ class ExperimentConfig:
         unknown = set(data) - set(cls.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
-        if "eigenvalues" in data and data["eigenvalues"] is not None:
-            data["eigenvalues"] = tuple(data["eigenvalues"])
         return cls(**data)
 
 
@@ -227,12 +223,11 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
                 for (status, rows, _, _), seed in zip(runs, seeds)]
     example = cfg.scenario == "example_1_1"
 
-    def dist_limit(U, S):                 # example 1.1: each iterate's distance to its limit
-        return residual_norms(U, S, *factored_blocks(U, _EXAMPLE_LIMIT), _EXAMPLE_LIMIT.d)[0]
+    def dist_limit(x, ids, U, S):         # example 1.1: each iterate's distance to its limit
+        return [residual_norms(U, S, *factored_blocks(U, _EXAMPLE_LIMIT), _EXAMPLE_LIMIT.d)[0]]
 
     columns = RgdRun.columns + (("dist_limit",) if example else ())
-    runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), None,
-                         dist_limit if example else None)
+    runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), dist_limit if example else None)
     return [RunResult(seed, run.status, run.records, columns,
                       {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
                        "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm})

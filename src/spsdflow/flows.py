@@ -241,11 +241,11 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     ||grad||_F), including the initial and final states.  This is a batch of
     one through :func:`_integrate_batch`, whose observer keeps the states.
     """
-    seen = []                              # (U, S) of each point before it steps
-    status, records, U, S = next(_integrate_batch(
+    seen = []                              # (U, S) of each logged point
+    status, records, _, _ = next(_integrate_batch(
         system, 1, lambda lo, hi: _runner.stack([init]), gt, t_end, controls,
         lambda t, ids, U, S: seen.append((U[0], S[0]))))
-    return FlowResult(records, status, _init=init, _factors=(seen + [(U, S)])[1:])
+    return FlowResult(records, status, _init=init, _factors=seen[1:])
 
 
 def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: float,

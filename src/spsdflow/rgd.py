@@ -156,12 +156,12 @@ def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
 
 
 def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
-                  observe: Callable | None = None, column=None) -> Iterator[RgdRun]:
+                  observe: Callable | None = None) -> Iterator[RgdRun]:
     """Run descent from ``count`` starts together against the shared target.
 
     Yields each run in start order, bit for bit its :func:`run_rgd` run, on the block runner
-    (``build``, ``observe(k, ids, U, S)`` at step k, ``column(U, S)`` logged as a fifth records
-    column); a rank drop raises :class:`RankDropError`.
+    (``build``, ``observe(k, ids, U, S)`` at each step k, whose columns follow the four records
+    columns); a rank drop raises :class:`RankDropError`.
     """
     def stop(k, dist, sigma, grad):
         spurious = (grad < TAU_GRAD) & (dist >= 0.5 * gt.d[-1])
@@ -175,7 +175,7 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
         return k + 1, U, S
 
     runs = _runner.run_blocks(count, build, gt, lambda S: (np.linalg.eigvalsh(S),), stop,
-                              advance, observe, column)
+                              advance, observe)
     for status, rows, U, S in runs:
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:4].tolist())
 

@@ -268,14 +268,34 @@ def test_reproducible_and_parallel_invariant(tmp_path, monkeypatch):
         assert ja == jb == jc == jd
 
 
+def _subprocess_env(**extra):
+    """This process's environment with the tested package first on PYTHONPATH, plus ``extra``."""
+    src = str(Path(sf.__file__).resolve().parents[1])
+    path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    return {**os.environ, "PYTHONPATH": path, **extra}
+
+
 def test_import_leaves_the_process_pool_unloaded():
     # only workers > 1 starts a pool; every other run should not pay for importing one
-    src = str(Path(sf.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = "import sys, spsdflow; print('concurrent.futures.process' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at one and at two BLAS threads, into the same --out-dir path (the sidecar records it), an
+    # escape below README's stated size limit writes the same bytes
+    out, written = tmp_path / "out", []
+    for threads in ("1", "2"):
+        subprocess.run([sys.executable, "-m", "spsdflow.cli", "escape-s-r1", "--n", "30",
+                        "--r", "3", "--repeats", "5", "--out-dir", str(out)],
+                       env=_subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True,
+                       check=True)
+        written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        out.rename(tmp_path / threads)
+    assert len(written[0]) == 7                  # five run CSVs, summary.csv and summary.json
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -13,7 +13,7 @@ from spsdflow.flows import (
     _integrate_batch,
     _raw_rescaled,
 )
-from spsdflow.manifold import TAU_ORTH, factored_blocks, frob, mT, sym
+from spsdflow.manifold import TAU_ORTH, factored_blocks, frob, mT, residual_norms, sym
 
 
 def random_state(rng, gt, spectrum):
@@ -402,6 +402,37 @@ def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses)
             assert np.array_equal(records, ref.records)
             assert np.array_equal(U, ref.states[-1].point.U)
             assert np.array_equal(S, ref.states[-1].point.S)
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_flow_observer_sees_every_logged_row_and_logs_its_column(monkeypatch, system):
+    # the observer sees each run at every logged point, its terminal point included, and the
+    # column it returns is logged in that row; an observer that returns None logs nothing
+    gt, starts = _mixed_flow_starts()
+    ctl = sf.StepControls(dt=0.05, tau_conv=1e-13)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", 2 * gt.n * gt.r)     # blocks of two and three
+    plain = list(_integrate_batch(system, *batch_of(starts), gt, 3.0, ctl))
+    seen = {}                                 # start index -> observed t, in order
+
+    def observe(t, ids, U, S):
+        for i in ids:
+            seen.setdefault(int(i), []).append(t)
+        return [residual_norms(U, S, *factored_blocks(U, gt), gt.d)[0]]
+
+    runs = list(_integrate_batch(system, *batch_of(starts), gt, 3.0, ctl, observe))
+    silent = list(_integrate_batch(system, *batch_of(starts), gt, 3.0, ctl, lambda *a: None))
+    assert sorted(seen) == list(range(len(starts)))
+    assert len({len(records) for _, records, _, _ in plain}) > 2   # runs end at different steps
+    for i, (run, ref, quiet) in enumerate(zip(runs, plain, silent, strict=True)):
+        status, records, U, S = run
+        assert records.shape == (len(ref[1]), 5)
+        assert np.array_equal(seen[i], records[:, 0])                 # terminal row included
+        assert np.array_equal(records[:, 4], records[:, 1])           # bit for bit the row's dist
+        assert np.array_equal(records[:, :4], ref[1])
+        assert status == quiet[0] == ref[0]
+        assert np.array_equal(quiet[1], ref[1])                       # no column added
+        for a, b in ((U, ref[2]), (S, ref[3]), (quiet[2], ref[2]), (quiet[3], ref[3])):
+            assert np.array_equal(a, b)
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)

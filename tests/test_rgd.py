@@ -274,8 +274,9 @@ def test_observer_sees_every_logged_step_with_global_ids(monkeypatch):
     assert len({run.iters for run in runs}) > 1   # runs leave the stack at different steps
     for i, run in enumerate(runs):
         steps, dists = np.array(seen[i]).T
-        assert np.array_equal(steps, run.records[:, 0])
-        assert np.array_equal(dists, run.records[:, 1])      # bit for bit
+        # every logged step, then the terminal point
+        assert np.array_equal(steps, np.append(run.records[:, 0], run.iters))
+        assert np.array_equal(dists, np.append(run.records[:, 1], run.terminal_dist))  # bit for bit
 
 
 def test_observer_leaves_runs_unchanged(monkeypatch):
@@ -329,14 +330,15 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
         return _runner.stack(points[lo:hi])
 
     def observe(k, ids, U, S):
-        events.append(len(ids))
+        events.append((k, len(ids)))
 
     cfg = sf.GDConfig(alpha=0.1, max_iters=1)
     runs = list(run_rgd_batch(count, build, gt, cfg, observe))
     assert [run.iters for run in runs] == [1] * count   # every run stepped once, in its block
     bounds = np.cumsum([0] + sizes).tolist()
+    # the observer sees each block at step 0 and at its terminal step 1
     assert events == [e for lo, hi in zip(bounds[:-1], bounds[1:])
-                      for e in [("build", lo, hi), hi - lo]]
+                      for e in [("build", lo, hi), (0, hi - lo), (1, hi - lo)]]
     for run, ref in zip(runs, run_rgd_batch(*batch_of(points), gt, cfg), strict=True):
         assert np.array_equal(run.records, ref.records)
 
