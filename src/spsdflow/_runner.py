@@ -48,42 +48,51 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
-    run's arithmetic depends on the others.  At each logged point ``observe(x, ids, U, S)`` sees
-    every live run (``ids`` among all starts), terminal ones too, and returns ``None`` or a list of
-    per-run arrays logged as extra columns, at every call or at none.  Then a run ends at the
-    first (mask, status) of ``stop`` whose mask holds; the rest go on by ``advance``.  ``core`` is
-    the one decomposition of each logged core S as a tuple (descent's ``(w,)`` of ``eigvalsh``,
-    the flows' ``(w, P)`` of ``eigh``): sigma_r is logged from its ascending eigenvalues, and
-    ``advance(x, U, S, A, B, eig)`` gets it.  Yields per run its status, its rows (x from 0 in
-    each block, dist, sigma_r, grad_norm, observed columns) to the terminal point, and factors.
+    run's arithmetic depends on the others.  With X = V D V^T, descent steps and flow velocities
+    from U lie in span(U, V), so a run stays in span(U_0, V): one QR [V, U_0] = Phi T per run
+    gives its basis Phi (n x m, m = min(n, 2r)), start T[:, r:] and target T[:, :r], which
+    depends on V alone and is the block's one m-row target ``gt_m``.  Steps work on m-row U,
+    lifted to Phi U only where it leaves: terminal factors and observer calls.  At each logged
+    point ``observe(x, ids, U, S)`` sees every live run (``ids`` among all starts), terminal ones
+    too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
+    or at none.  Then a run ends at the first (mask, status) of ``stop`` whose mask holds; the
+    rest go on by ``advance``.  ``core`` is the one decomposition of each logged core S as a
+    tuple (descent's ``(w,)`` of ``eigvalsh``, the flows' ``(w, P)`` of ``eigh``): sigma_r is
+    logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig, gt_m)`` gets it.
+    Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm,
+    observed columns) to the terminal point, and factors.
     """
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     lo = 0                                # index of the block's first start
     while lo < count:
         hi = count if 2 * (count - lo) <= 3 * cap else lo + cap
         U, S = build(lo, hi)
+        V = np.broadcast_to(gt.U, U.shape[:-1] + (gt.r,))
+        Phi, T = np.linalg.qr(np.concatenate([V, U], axis=-1))
+        U = mT(mT(T[..., gt.r:]).copy())  # column-major, as the escape-start kernel's
+        gt_m = GroundTruth(T[0, :, :gt.r], gt.d)    # from V alone: the same bits in every run
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi
         ends = {}
         log = []                          # rows (id, x, dist, sigma, grad, *observed) per point
         x = 0
         while True:
-            A, B, C = factored_blocks(U, gt)
+            A, B, C = factored_blocks(U, gt_m)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
             eig = core(S)
             sigma = eig[0][:, 0]
-            extra = [] if observe is None else observe(x, ids, U, S) or []
+            extra = [] if observe is None else observe(x, ids, Phi @ U, S) or []
             log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad, *extra]))
             done = np.zeros(ids.size, dtype=bool)
             for mask, status in stop(x, dist, sigma, grad):
                 for j in np.flatnonzero(mask & ~done):
-                    ends[ids[j]] = (status, U[j], S[j])
+                    ends[ids[j]] = (status, Phi[j] @ U[j], S[j])
                 done |= mask
             if done.all():
                 break
             if done.any():                # only then: the filter copies every per-run array
-                ids, U, S, A, B, *eig = (v[~done] for v in (ids, U, S, A, B, *eig))
-            x, U, S = advance(x, U, S, A, B, eig)
+                ids, U, S, A, B, Phi, *eig = (v[~done] for v in (ids, U, S, A, B, Phi, *eig))
+            x, U, S = advance(x, U, S, A, B, eig, gt_m)
         rows = np.concatenate(log)
         rows = rows[np.argsort(rows[:, 0], kind="stable")]      # by run, each in step order
         runs = np.split(rows[:, 1:], np.flatnonzero(np.diff(rows[:, 0])) + 1)

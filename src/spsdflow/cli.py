@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from .experiments import SCENARIOS, ExperimentConfig, run_experiment
+from .spurious import DegenerateRadiusError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -89,6 +90,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         report = run_experiment(cfg)
+    except DegenerateRadiusError as exc:  # raised while a block's starts are drawn, before it steps
+        print(f"configuration error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except Exception as exc:  # noqa: BLE001 - boundary of the CLI
         print(f"runtime failure: {exc}", file=sys.stderr)
         return EXIT_RUNTIME

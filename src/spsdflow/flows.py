@@ -264,12 +264,12 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         return [(not t < t_end - 1e-12, "t_end"), (grad < ctl.tau_conv, "converged"),
                 (system == "dlra" and sigma < SIGMA_FLOOR, "sigma_floor")]
 
-    def advance(t, U, S, A, B, eig):
+    def advance(t, U, S, A, B, eig, gt_m):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = _raw(core_map, U, S, gt, (A, B, *eig))    # the runner's blocks and eigh
-        kU2, kS2 = _raw(core_map, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt)
-        kU3, kS3 = _raw(core_map, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt)
-        kU4, kS4 = _raw(core_map, U + h * kU3, S + h * kS3, gt)
+        kU1, kS1 = _raw(core_map, U, S, gt_m, (A, B, *eig))  # the runner's blocks and eigh
+        kU2, kS2 = _raw(core_map, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
+        kU3, kS3 = _raw(core_map, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
+        kU4, kS4 = _raw(core_map, U + h * kU3, S + h * kS3, gt_m)
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)

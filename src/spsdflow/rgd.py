@@ -9,7 +9,10 @@ eigendirection.
 
 Steps run on the factors: the shifted matrix lives in the span of the
 current columns plus the projected target columns, so one (2r)-by-(2r)
-eigendecomposition per step replaces a dense n-by-n one.
+eigendecomposition per step replaces a dense n-by-n one.  Runs step on the
+block runner in the span of their start and the target's eigenvectors, in
+min(n, 2r) rows at O(r^3) per step; :func:`rgd_step` and the
+finite-difference oracle keep the n-row arithmetic.
 """
 
 from __future__ import annotations
@@ -168,7 +171,7 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
         return [(dist < cfg.tol_dist, "converged_to_X"), (spurious, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
-    def advance(k, U, S, A, B, eig):
+    def advance(k, U, S, A, B, eig, _):
         U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, eig[0][:, 0]))
         if deficient.any():
             raise RankDropError(f"iterate left the manifold at step {k}")

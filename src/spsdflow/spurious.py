@@ -31,6 +31,10 @@ from .manifold import (
 )
 
 
+class DegenerateRadiusError(ValueError):
+    """No draw of a perturbation of this radius gave a full-rank start: the radius is too small."""
+
+
 def haar_orthonormal(rng: np.random.Generator, n: int, m: int | None = None) -> np.ndarray:
     """Haar-distributed n-by-m orthonormal columns via sign-fixed QR (m defaults to n)."""
     _int("n", n, 0)
@@ -196,7 +200,8 @@ def perturb_near(tup: SpuriousTuple, epsilon: float, seed: int) -> FactoredPoint
     Adds a random symmetric unit-norm perturbation and retracts back to rank
     r.  Retraction is nonexpansive here, so the result stays within
     2 * epsilon of the spurious point.  Rank-deficient draws (a measure-zero
-    event) are resampled, up to 16 draws in all.
+    event unless epsilon is near the rank tolerance) are resampled, up to 16
+    draws in all; then :class:`DegenerateRadiusError` is raised.
     """
     U, S = _perturbed(tup.U[None], tup.S[None], tup.point.d_kept, epsilon,
                       [_tagged_rng(seed, tag=2)])
@@ -223,7 +228,8 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
     """
     _real("epsilon", epsilon)
     if not draws:
-        raise RuntimeError("no full-rank perturbation found in 16 draws; epsilon is degenerate")
+        raise DegenerateRadiusError(f"no full-rank perturbation of radius {epsilon:.3g} found in "
+                                    "16 draws; epsilon is degenerate")
     R, n, r = U.shape
     size = _runner.dense_stack(n)
     low = min(d_kept, default=0.0) - epsilon

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import _runner, cli, experiments
+from spsdflow import _runner, cli, experiments, rgd
 from spsdflow.cli import _config_from_args, build_parser, main
 from spsdflow.experiments import (SCENARIOS, ExperimentConfig, RunResult, SummaryReport,
                                   _pointwise_stats, _random_point, _shared_ground_truth,
@@ -434,10 +434,27 @@ def test_cli_exit_codes(tmp_path):
     ["escape-s-r1", "--n", "20", "--r", "3", "--eigenvalues", ""],
     ["escape-s-r1", "--n", "8", "--r", "1"],            # the spurious point would be zero
     ["escape-s-r2", "--n", "8", "--r", "2"],
+    # no full-rank start at this radius: every draw's r-th eigenvalue is under TAU_RANK
+    ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "3", "--epsilon", "1e-12"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_degenerate_radius_exits_2_before_any_step_or_file(monkeypatch, tmp_path, capsys,
+                                                            workers):
+    # a radius at which no draw gives a full-rank start is the configuration's fault, and
+    # the first block's starts are drawn before it steps; 3e-12 still runs
+    monkeypatch.setattr(rgd, "_step", lambda *a: pytest.fail("a run stepped"))
+    argv = ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "3", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--epsilon", "1e-12", "--workers", workers]) == 2
+    assert "16 draws; epsilon is degenerate" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+    monkeypatch.undo()
+    assert main(argv + ["--epsilon", "3e-12"]) == 0
+    assert len(list(tmp_path.iterdir())) == 5
 
 
 @pytest.mark.parametrize("flags, steps", [(["--t-end", "1e300"], "1e+302"),

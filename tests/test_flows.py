@@ -464,6 +464,70 @@ def test_observed_factors_stay_orthonormal_and_symmetric(kind, n, data):
     assert seen
 
 
+def _rk4_loop(rhs, init, gt, t_end, dt):
+    """Rows (t, dist, sigma_r, grad_norm) of a plain full-space RK4 loop over a public rhs."""
+    def velocity(U, S):                   # an RK4 stage leaves U off the manifold: no checks
+        point = object.__new__(sf.FactoredPoint)
+        object.__setattr__(point, "U", U)
+        object.__setattr__(point, "S", S)
+        v = rhs(sf.FlowState(point), gt)
+        return v.dU, v.dS
+
+    U, S, t, rows = init.U, init.S, 0.0, []
+    while True:
+        dist, grad = residual_norms(U, S, *factored_blocks(U, gt), gt.d)
+        rows.append((t, dist, np.linalg.eigvalsh(S)[0], grad))
+        if not t < t_end - 1e-12:
+            return np.array(rows)
+        h = min(dt, t_end - t)
+        kU1, kS1 = velocity(U, S)
+        kU2, kS2 = velocity(U + 0.5 * h * kU1, S + 0.5 * h * kS1)
+        kU3, kS3 = velocity(U + 0.5 * h * kU2, S + 0.5 * h * kS2)
+        kU4, kS4 = velocity(U + h * kU3, S + h * kS3)
+        U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
+        S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
+        if np.linalg.norm(U.T @ U - np.eye(gt.r)) > TAU_ORTH:
+            U, R = np.linalg.qr(U)
+            S = sym(R @ S @ R.T)
+        t += h
+
+
+@pytest.mark.parametrize("system, rhs", [("dlra", sf.dlra_rhs), ("rescaled", sf.rescaled_rhs)])
+def test_compressed_flows_match_the_full_space_rhs(system, rhs):
+    # the runner integrates each run in the 2r-dimensional span of its start and the target's
+    # eigenvectors; a plain RK4 loop over the full-space right-hand side takes the same path
+    gt = sf.make_ground_truth(40, 3, [3, 2, 1], seed=16)
+    for seed in range(3):
+        init = _random_point(gt, seed)
+        res = sf.integrate(system, init, gt, 1.0, sf.StepControls(dt=0.01))
+        rows = _rk4_loop(rhs, init, gt, 1.0, 0.01)
+        assert res.status == "t_end"
+        assert res.records.shape == rows.shape == (101, 4)
+        assert np.allclose(res.records, rows, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+@pytest.mark.parametrize("n, r, rows", [(40, 3, 6), (3, 2, 3)])
+def test_flows_step_in_min_n_2r_rows_and_lift_their_factors(monkeypatch, system, n, r, rows):
+    # every RK4 stage's U has min(n, 2r) rows (n = 3 < 2r too); the factors a run yields and
+    # the states integrate keeps have n rows
+    gt = sf.make_ground_truth(n, r, [float(r - i) for i in range(r)], seed=16)
+    starts = [_random_point(gt, seed) for seed in range(3)]
+    stepped = []
+    raw = flows._raw
+
+    def spy(core_map, U, *args):
+        stepped.append(U.shape[-2])
+        return raw(core_map, U, *args)
+
+    monkeypatch.setattr(flows, "_raw", spy)
+    runs = list(_integrate_batch(system, *batch_of(starts), gt, 0.05, sf.StepControls(dt=0.01)))
+    assert len(stepped) == 4 * 5 and set(stepped) == {rows}
+    assert all(U.shape == (n, r) for _, _, U, _ in runs)
+    states = sf.integrate(system, starts[0], gt, 0.05, sf.StepControls(dt=0.01)).states
+    assert len(states) == 6 and all(s.point.U.shape == (n, r) for s in states)
+
+
 # ---------------------------------------------------------- boundary Jacobian
 
 def test_rescaled_jacobian_escape_pair():

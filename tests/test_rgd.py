@@ -7,7 +7,7 @@ import pytest
 import spsdflow as sf
 from spsdflow import _runner, experiments, rgd
 from spsdflow.experiments import ExperimentConfig
-from spsdflow.manifold import factored_blocks, frob, residual_norms, sym
+from spsdflow.manifold import TAU_ORTH, factored_blocks, frob, orth_defect, residual_norms, sym
 from spsdflow.rgd import RankDropError, run_rgd_batch
 
 
@@ -252,7 +252,7 @@ def _observed_escape_runs(monkeypatch):
     starts = _escape_starts(gt, 5)
     cfg = sf.GDConfig(alpha=0.2, max_iters=5000)
     monkeypatch.setattr(_runner, "BLOCK_ENTRIES", 2 * gt.n * gt.r)
-    seen = {}                                 # start index -> [(k, dist at U, S)]
+    seen = {}                                 # start index -> [(k, dist, rows, drift of U)]
     blocks = []                               # the ids of each block at its first step
 
     def observe(k, ids, U, S):
@@ -260,8 +260,8 @@ def _observed_escape_runs(monkeypatch):
             blocks.append(ids.tolist())
         assert set(ids.tolist()) <= set(blocks[-1])   # the runs of one block
         dist = residual_norms(U, S, *factored_blocks(U, gt), gt.d)[0]
-        for i, x in zip(ids, dist):
-            seen.setdefault(int(i), []).append((k, x))
+        for i, x, drift in zip(ids, dist, orth_defect(U)):
+            seen.setdefault(int(i), []).append((k, x, U.shape[1], drift))
 
     runs = list(run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     assert blocks == [[0, 1], [2, 3, 4]]      # a tail of one run joins the last block of two
@@ -273,10 +273,14 @@ def test_observer_sees_every_logged_step_with_global_ids(monkeypatch):
     assert sorted(seen) == list(range(5))
     assert len({run.iters for run in runs}) > 1   # runs leave the stack at different steps
     for i, run in enumerate(runs):
-        steps, dists = np.array(seen[i]).T
+        steps, dists, rows, drifts = np.array(seen[i]).T
         # every logged step, then the terminal point
         assert np.array_equal(steps, np.append(run.records[:, 0], run.iters))
-        assert np.array_equal(dists, np.append(run.records[:, 1], run.terminal_dist))  # bit for bit
+        # the observer sees the factors lifted to n rows, while the records come from the
+        # runner's 2r-row factors: the two distances differ by rounding, at most 1.6e-15 here
+        assert (rows == 30).all() and (drifts <= TAU_ORTH).all()
+        assert np.allclose(dists, np.append(run.records[:, 1], run.terminal_dist),
+                           rtol=0, atol=1e-14)
 
 
 def test_observer_leaves_runs_unchanged(monkeypatch):
@@ -346,7 +350,8 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
 @pytest.mark.parametrize("mode", ["fixed", "varying"])
 def test_descent_block_step_call_budget(monkeypatch, mode):
     # a block step is one eigh of the 2r x 2r cores, one QR of B and one eigvalsh for
-    # sigma_r, whatever the block size, plus one QR when some run is re-orthonormalized
+    # sigma_r, whatever the block size, plus one QR when some run is re-orthonormalized;
+    # a block adds one QR of [V, U_0], which compresses its runs to 2r rows
     gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
     rng = np.random.default_rng(6)
     starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), np.diag([2.5, 1.5, 0.6]))
@@ -375,7 +380,7 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
     runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, mode, max_iters=steps)))
     assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
     assert calls["redo"] >= 1
-    assert calls == {"eigh": steps, "qr": steps + calls["redo"], "eigvalsh": steps + 1,
+    assert calls == {"eigh": steps, "qr": 1 + steps + calls["redo"], "eigvalsh": steps + 1,
                      "redo": calls["redo"]}
 
 
@@ -425,6 +430,65 @@ def test_batch_rank_drop_names_the_step():
         sf.run_rgd(starts[1], gt, cfg)
     with pytest.raises(RankDropError, match="at step 3$"):
         list(run_rgd_batch(*batch_of(starts), gt, cfg))
+
+
+def _rgd_step_loop(init, gt, cfg):
+    """Status and rows (k, dist, sigma_r, grad_norm) of descent by the full-space rgd_step."""
+    point, rows = init, []
+    while True:
+        dist, grad = sf.distance_to_target(point, gt), sf.gradient_norm(point, gt)
+        rows.append((len(rows), dist, point.sigma_min(), grad))
+        if dist < cfg.tol_dist:
+            return "converged_to_X", np.array(rows)
+        if grad < sf.TAU_GRAD and dist >= 0.5 * gt.d[-1]:
+            return "near_spurious", np.array(rows)
+        if len(rows) > cfg.max_iters:
+            return "max_iters", np.array(rows)
+        step = sf.rgd_step(point, gt, cfg)
+        assert not step.rank_deficient
+        point = step.point
+
+
+@pytest.mark.parametrize("mode, alpha", [("fixed", 0.2), ("varying", 1.8)])
+def test_compressed_runs_match_the_full_space_step(mode, alpha):
+    # the runner steps each run in the 2r-dimensional span of its start and the target's
+    # eigenvectors; a loop of the full-space rgd_step takes the same path up to rounding
+    gt = sf.make_ground_truth(40, 3, [3, 2, 1], seed=15)
+    cfg = sf.GDConfig(alpha=alpha, mode=mode, max_iters=5000)
+    sp = sf.spurious_point(gt, [True, True, False])
+    for seed in range(4):
+        tup = sf.sample_spurious_tuple(sp, gt, seed=seed)
+        init = sf.perturb_near(tup, 1e-2 * frob(sp.dense()), seed=seed)
+        run = sf.run_rgd(init, gt, cfg)
+        status, rows = _rgd_step_loop(init, gt, cfg)
+        assert (run.status, run.iters) == (status, len(rows) - 1)
+        assert status == "converged_to_X"
+        terminal = [run.terminal_dist, run.terminal_sigma_r, run.terminal_grad_norm]
+        assert np.allclose(np.vstack([run.records, [run.iters, *terminal]]), rows,
+                           rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, r, rows", [(40, 3, 6), (3, 2, 3)])
+def test_descent_steps_in_min_n_2r_rows_and_lifts_its_terminal_points(monkeypatch, n, r, rows):
+    # every stepped U has min(n, 2r) rows (example 1.1's n = 3 < 2r too); terminal points
+    # leave the runner with n rows
+    if n == 3:
+        gt, init = small_example()
+        starts = [init] * 3
+    else:
+        gt = sf.make_ground_truth(n, r, [3, 2, 1], seed=15)
+        starts = _escape_starts(gt, 3)
+    stepped = []
+    step = rgd._step
+
+    def spy(U, *args):
+        stepped.append(U.shape[-2])
+        return step(U, *args)
+
+    monkeypatch.setattr(rgd, "_step", spy)
+    runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(alpha=0.3, max_iters=200)))
+    assert stepped and set(stepped) == {rows}
+    assert all(run.point.U.shape == (n, r) for run in runs)
 
 
 # --------------------------------------------------------- iteration Jacobian
