@@ -24,7 +24,7 @@ from . import __version__
 from . import _runner
 from .flows import FlowResult, StepControls, _integrate_batch
 from .flows import integrate  # noqa: F401 - perfbench's tracer wraps this name here
-from .manifold import (FactoredPoint, GroundTruth, _int, _real, factored_blocks, frob,
+from .manifold import (FactoredPoint, GroundTruth, _int, _real, factored_blocks,
                        residual_norms, target_spectrum)
 from .rgd import GDConfig, RgdRun, run_rgd_batch
 from .rgd import run_rgd  # noqa: F401 - perfbench's tracer wraps this name here
@@ -204,7 +204,7 @@ def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
     if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
         return lambda lo, hi: _runner.stack([_random_point(gt, seed) for seed in seeds[lo:hi]])
     sp = spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
-    radius = cfg.epsilon * frob(sp.dense())
+    radius = cfg.epsilon * math.hypot(*sp.d_kept)     # ||Z_sp||_F, scaled: no underflow
     return lambda lo, hi: _escape_starts(sp, gt, radius, seeds[lo:hi])
 
 
@@ -242,14 +242,13 @@ def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
 def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[dict, int]:
     """Per-step median/min/max of every series over the runs that reached the step."""
     n_steps = max((len(r.records) for r in runs), default=0)
-    stats = {}
-    for j, name in enumerate(columns[1:], start=1):
-        vals = np.full((len(runs), n_steps), np.nan)
-        for i, run in enumerate(runs):
-            vals[i, :len(run.records)] = run.records[:, j]
-        stats[name] = {"median": np.nanmedian(vals, axis=0).tolist(),
-                       "min": np.nanmin(vals, axis=0).tolist(),
-                       "max": np.nanmax(vals, axis=0).tolist()}
+    vals = np.full((len(runs), n_steps, len(columns)), np.nan)
+    for i, run in enumerate(runs):
+        vals[i, :len(run.records)] = run.records
+    stats = {name: {"median": np.nanmedian(vals[..., j], axis=0).tolist(),
+                    "min": np.nanmin(vals[..., j], axis=0).tolist(),
+                    "max": np.nanmax(vals[..., j], axis=0).tolist()}
+             for j, name in enumerate(columns[1:], start=1)}
     return stats, n_steps
 
 

@@ -29,8 +29,8 @@ from .manifold import (
     TAU_ORTH,
     TAU_RANK,
     _finite,
-    _overlap_blocks,
     _real,
+    factored_blocks,
     frob,
     mT,
     relative_spectrum,
@@ -190,17 +190,13 @@ def _raw(core_map, U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple |
     """Right-hand side dU = B phi, dS = (A - S) c on raw factors (stacks give stacks).
 
     ``(phi, c) = core_map(w, P)`` from the ascending eigh of S.  ``known`` is the runner's
-    (A, B, w, P); without it dU is V (D C phi) - U (A phi): neither X U nor B is built.
+    (A, B, w, P); without it the blocks come from :func:`factored_blocks`.
     """
     if known is None:
-        _, DC, A = _overlap_blocks(U, gt)
-        phi, c = core_map(*np.linalg.eigh(S))
-        dU = gt.U @ (DC @ phi) - U @ (A @ phi)
-    else:
-        A, B, w, P = known
-        phi, c = core_map(w, P)
-        dU = B @ phi
-    return dU, (A - S) * c[..., None, None]
+        known = (*factored_blocks(U, gt)[:2], *np.linalg.eigh(S))
+    A, B, w, P = known
+    phi, c = core_map(w, P)
+    return B @ phi, (A - S) * c[..., None, None]
 
 
 def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
@@ -214,8 +210,7 @@ def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     The reconstruction dU S U^T + U dS U^T + U S dU^T equals the negative
     projected gradient exactly.  Raises on a (numerically) singular core.
     """
-    dU, dS = _raw(_plain_from_eigh, state.point.U, state.point.S, gt)
-    return FlowDerivative(dU, dS)
+    return FlowDerivative(*_raw(_plain_from_eigh, state.point.U, state.point.S, gt))
 
 
 def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -224,8 +219,7 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     Equals the plain velocity times sigma_min(S) on the interior and
     vanishes at stationary boundary tuples.
     """
-    dU, dS = _raw_rescaled(state.point.U, state.point.S, gt)
-    return FlowDerivative(dU, dS)
+    return FlowDerivative(*_raw_rescaled(state.point.U, state.point.S, gt))
 
 
 _SYSTEMS = {"dlra": _plain_from_eigh, "rescaled": _scaled_from_eigh}
@@ -274,7 +268,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
         drift = _runner.reorthonormalize(U, S, TAU_ORTH)
-        if (drift > MAX_DRIFT).any():
+        if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")
         return t + h, U, S

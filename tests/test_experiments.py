@@ -298,6 +298,25 @@ def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("argv, code, message", [
+    # the first RK4 step overflows to NaN: a NaN drift must reject the step, not pass it
+    (["flow-rescaled", "--n", "8", "--r", "2", "--eigenvalues", "1e150,1", "--t-end", "0.5"],
+     3, "runtime failure: orthonormality drift nan at t=0.01; reduce dt"),
+    # a radius from the squared entries of Z_sp would underflow to 0 and fail as a runtime error
+    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
+     2, "configuration error: no full-rank perturbation of radius 1e-202 found in 16 draws"),
+])
+def test_extreme_spectra_fail_with_their_cause_and_write_nothing(tmp_path, argv, code, message):
+    # in a subprocess: numpy's overflow warnings on the way are errors under pytest's filter
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "spsdflow.cli", *argv, "--repeats", "2",
+                           "--out-dir", str(out)], env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True)
+    assert done.returncode == code
+    assert message in done.stderr
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("below", ["", "sub"])
 def test_run_experiment_out_dir_in_the_way_of_a_file_raises_before_any_run(tmp_path,
                                                                             monkeypatch, below):

@@ -95,9 +95,10 @@ def test_rescaled_vanishes_linearly_along_core_inflation():
 
 
 def test_rescaled_rhs_r_by_r_form_matches_the_n_by_r_form():
-    # dU = V (D C phi) - U (A phi) is B phi with A = sym(U^T X U), B = X U - U A: at an
-    # interior stack, at a rank-deficit-one tuple (phi = p p^T, B = 0 there) and at its
-    # singular core under a generic U (phi = p p^T, B != 0); errors against ||X U||
+    # dU = B phi with factored_blocks' r x r form B = V (D C) - U A equals B phi with
+    # A = sym(U^T X U), B = X U - U A: at an interior stack, at a rank-deficit-one tuple
+    # (phi = p p^T, B = 0 there) and at its singular core under a generic U (phi = p p^T,
+    # B != 0); errors against ||X U||
     gt = small_instance(7)
     rng = np.random.default_rng(2)
     U = np.stack([sf.haar_orthonormal(rng, 8, 3) for _ in range(4)])
@@ -247,9 +248,9 @@ def test_first_stop_rule_that_holds_wins(system):
 
 @pytest.mark.parametrize("system", ["dlra", "rescaled"])
 def test_flow_step_decomposes_each_core_once(monkeypatch, system):
-    # the runner's eigh of each logged core gives sigma_r and, in stage 1, the core
-    # map (phi, c); stages 2-4 take one eigh each and the r x r blocks, not
-    # factored_blocks; states wait until read
+    # the runner's eigh and factored_blocks of each logged core give sigma_r and, in
+    # stage 1, the right-hand side; stages 2-4 take one eigh and one factored_blocks
+    # each (4 of each per step); states wait until read
     gt = small_instance(11)
     rng = np.random.default_rng(3)
     init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
@@ -266,11 +267,12 @@ def test_flow_step_decomposes_each_core_once(monkeypatch, system):
     monkeypatch.setattr(sf.FactoredPoint, "__post_init__",
                         counted("FactoredPoint", sf.FactoredPoint.__post_init__))
     monkeypatch.setattr(_runner, "factored_blocks", counted("factored_blocks", factored_blocks))
+    monkeypatch.setattr(flows, "factored_blocks", counted("factored_blocks", factored_blocks))
     res = sf.integrate(system, init, gt, 0.5, sf.StepControls(dt=0.05))
     steps = len(res.records) - 1
     assert steps == 10
     assert calls == {"eigh": 4 * steps + 1, "eigvalsh": 0, "FactoredPoint": 0,
-                     "factored_blocks": steps + 1}
+                     "factored_blocks": 4 * steps + 1}
     states = res.states
     assert calls["FactoredPoint"] == steps and res.states is states
     assert len(states) == steps + 1 and states[0].point is init

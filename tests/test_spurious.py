@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import numpy as np
@@ -152,7 +153,7 @@ def _escape_setup(scenario, n, r=3, repeats=7, master_seed=4):
     deficit = {"escape_s_r1": 1, "escape_s_r2": 2}[scenario]
     sp = sf.spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
     seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
-    return cfg, gt, sp, cfg.epsilon * frob(sp.dense()), seeds
+    return cfg, gt, sp, cfg.epsilon * math.hypot(*sp.d_kept), seeds
 
 
 def _seed_pair(seed):
@@ -325,7 +326,7 @@ def test_escape_that_cannot_converge_goes_straight_to_eigh(monkeypatch):
     cfg = ExperimentConfig(scenario="escape_s_r1", n=12, r=2, repeats=7, epsilon=0.5)
     gt = experiments._shared_ground_truth(cfg)
     sp = sf.spurious_point(gt, [True, False])
-    radius = cfg.epsilon * frob(sp.dense())
+    radius = cfg.epsilon * math.hypot(*sp.d_kept)
     assert 1 - 1e-15 < _rate(sp, radius) <= 1.0
     calls = _counting(monkeypatch, "eigh", "eigvalsh", "solve")
     U, S = experiments._starts(cfg, gt, list(range(7)))(0, 7)
