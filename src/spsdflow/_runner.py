@@ -69,7 +69,7 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
         U, S = build(lo, hi)
         V = np.broadcast_to(gt.U, U.shape[:-1] + (gt.r,))
         Phi, T = np.linalg.qr(np.concatenate([V, U], axis=-1))
-        U = mT(mT(T[..., gt.r:]).copy())  # column-major, as the escape-start kernel's
+        U = T[..., gt.r:]
         gt_m = GroundTruth(T[0, :, :gt.r], gt.d)    # from V alone: the same bits in every run
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi

@@ -118,8 +118,16 @@ class ExperimentConfig:
         _real("t_end", self.t_end, zero=True)
         eig = self.eigenvalues
         eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
-        target_spectrum(eig, self.r)
+        d = target_spectrum(eig, self.r)
         object.__setattr__(self, "eigenvalues", eig)
+        # a start lies within 2 epsilon ||Z_sp||_F of the spurious point (perturb_near), which
+        # lies ||d_miss|| from the target; the logged distance is a square root of sums of squares
+        kept, miss = np.split(d, [self.r - deficit])
+        far = 2 * self.epsilon * math.hypot(*kept) + math.hypot(*miss)
+        if deficit and not far < np.sqrt(np.finfo(float).max):
+            raise ValueError(f"epsilon = {self.epsilon:.3g} is too large: a start may lie up to "
+                             f"2 epsilon ||Z_sp||_F + ||d_miss|| = {far:.3g} from the target, "
+                             "and that distance's square overflows")
         _gd_config(self)                  # stepsize and iteration controls
         StepControls(dt=self.dt)
         steps = self.t_end / self.dt      # ceil(steps) > max_iters exactly when steps > max_iters

@@ -273,23 +273,6 @@ def truncate(w: np.ndarray, V: np.ndarray, r: int) -> tuple:
     return V[..., ::-1][..., :r], S, deficient
 
 
-def _dense_retract(W: np.ndarray, r: int, basis: np.ndarray | None = None, k: int = 0,
-                   rate: float = 1.0) -> tuple:
-    """Unchecked :func:`retract` of a symmetric W or a stack: (U, S, deficient), S diagonal.
-
-    With no ``basis``, one full ``eigh``.  With a basis (..., n, r) whose power iterates under W
-    contract onto the top r - k eigenvectors by at most ``rate`` per step, :func:`_top_pairs`
-    when that takes at most ``_POWER_STEPS_MAX`` steps, and ``eigh`` otherwise.
-    """
-    steps = math.ceil(math.log(_RITZ_TOL) / math.log(rate)) if 0 < rate < 1 else math.inf
-    if basis is None or steps > _POWER_STEPS_MAX:
-        V, S, deficient = truncate(*np.linalg.eigh(W), r)
-    else:
-        V, S, deficient = _top_pairs(W, r, basis, k, steps)
-    # Column-major U: factored_blocks' products round differently on a row-major copy.
-    return mT(mT(V).copy()), S, deficient
-
-
 # Bounds over max(1, max|w|): on a Ritz pair's share of _top_pairs' truncation error after one
 # shift-invert step and on its Ritz value's distance from w's top r, which is also the
 # contraction its power steps reach; and on a pair's residual after two steps.
@@ -300,10 +283,12 @@ _RESIDUAL_TOL = 1e-12
 _POWER_STEPS_MAX = 16
 
 
-def _top_pairs(W: np.ndarray, r: int, Y: np.ndarray, k: int, steps: int) -> tuple:
+def _top_pairs(W: np.ndarray, r: int, Y: np.ndarray, k: int, rate: float) -> tuple:
     """:func:`truncate` of a stack W's top r eigenpairs, certified per matrix, without its eigh.
 
-    One ``eigvalsh`` gives the spectrum w.  ``steps`` QR-normalized power steps from Y resolve
+    Y's power iterates under W contract onto the top r - k eigenvectors by at most ``rate`` per
+    step; if reaching ``_RITZ_TOL`` takes over ``_POWER_STEPS_MAX`` steps, this is one ``eigh``.
+    Else one ``eigvalsh`` gives the spectrum w, those QR-normalized power steps from Y resolve
     the top r - k pairs, and a shift-invert step at each of the k smallest of w's top r values,
     from Y's last k columns, the others; a Rayleigh-Ritz ``eigh`` on the span of both gives the
     pairs.  Every Ritz value must lie within ``_RITZ_TOL max(1, max|w|)`` of w's.  After one
@@ -313,6 +298,9 @@ def _top_pairs(W: np.ndarray, r: int, Y: np.ndarray, k: int, steps: int) -> tupl
     residuals must be at most ``_RESIDUAL_TOL max(1, max|w|)`` and no shifted matrix singular.
     A matrix that fails again goes through ``eigh``.
     """
+    steps = math.ceil(math.log(_RITZ_TOL) / math.log(rate)) if 0 < rate < 1 else math.inf
+    if steps > _POWER_STEPS_MAX:
+        return truncate(*np.linalg.eigh(W), r)
     w = np.linalg.eigvalsh(W)
     for _ in range(steps):
         Y = np.linalg.qr(W @ Y)[0]
@@ -379,7 +367,8 @@ def retract(W: np.ndarray, r: int) -> RetractionResult:
     manifold; ties at zero are broken by the eigensolver's ordering).
     """
     W = sym(_finite("W", W))
-    U, S, deficient = _dense_retract(W, _int("r", r, 1, W.shape[0]))
+    _int("r", r, 1, W.shape[0])
+    U, S, deficient = truncate(*np.linalg.eigh(W), r)
     return RetractionResult(FactoredPoint(U, S), bool(deficient))
 
 

@@ -31,7 +31,6 @@ from .manifold import (
     TAU_GRAD,
     TAU_ORTH,
     TangentParam,
-    _dense_retract,
     _int,
     _real,
     complement_basis,
@@ -304,7 +303,7 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
 
     def step_dense(W):
-        U, S, _ = _dense_retract(W, tup.r)
+        U, S, _ = truncate(*np.linalg.eigh(W), tup.r)
         A, B, _ = factored_blocks(U, gt)
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
         return sym(U @ S @ mT(U))

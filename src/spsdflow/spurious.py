@@ -9,6 +9,7 @@ nearby full-rank starting points for escape experiments.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +20,10 @@ from .manifold import (
     GroundTruth,
     TAU_ORTH,
     _Columns,
-    _dense_retract,
     _freeze,
     _int,
     _real,
+    _top_pairs,
     frob,
     mT,
     retract,  # noqa: F401 - perfbench/tracer.py wraps spurious.retract
@@ -228,8 +229,11 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
     """
     _real("epsilon", epsilon)
     if not draws:
+        norm = math.hypot(*d_kept)        # ||Z_sp||_F; 0 at a rank-0 point
+        why = (f"radius = epsilon * ||Z_sp||_F = {epsilon / norm:.3g} * {norm:.3g}" if norm
+               else "||Z_sp||_F = 0")
         raise DegenerateRadiusError(f"no full-rank perturbation of radius {epsilon:.3g} found in "
-                                    "16 draws; epsilon is degenerate")
+                                    f"16 draws; epsilon is degenerate ({why})")
     R, n, r = U.shape
     size = _runner.dense_stack(n)
     low = min(d_kept, default=0.0) - epsilon
@@ -247,8 +251,8 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
             E /= frob(E)
             w += epsilon * E
         del E                             # before the eigensolver's own copies: peak memory
-        parts.append(_dense_retract(W, r, U[lo:hi], r - len(d_kept), rate))
-    U_out, S_out, deficient = (np.concatenate(v) for v in zip(*parts))   # keeps U's layout
+        parts.append(_top_pairs(W, r, U[lo:hi], r - len(d_kept), rate))
+    U_out, S_out, deficient = (np.concatenate(v) for v in zip(*parts))
     if deficient.any():                   # such a start draws again from its generator
         redo = np.flatnonzero(deficient)
         U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], d_kept, epsilon,

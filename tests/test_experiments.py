@@ -305,6 +305,9 @@ def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a radius from the squared entries of Z_sp would underflow to 0 and fail as a runtime error
     (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
      2, "configuration error: no full-rank perturbation of radius 1e-202 found in 16 draws"),
+    # and the message names both factors of that radius: epsilon and ||Z_sp||_F
+    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
+     2, "epsilon is degenerate (radius = epsilon * ||Z_sp||_F = 0.01 * 1e-200)"),
 ])
 def test_extreme_spectra_fail_with_their_cause_and_write_nothing(tmp_path, argv, code, message):
     # in a subprocess: numpy's overflow warnings on the way are errors under pytest's filter
@@ -459,6 +462,29 @@ def test_cli_exit_codes(tmp_path):
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
     assert "configuration error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("epsilon", ["1e300", "3e154"])
+def test_huge_escape_radius_exits_2_before_any_run_or_file(monkeypatch, tmp_path, capsys,
+                                                           epsilon):
+    # a start up to 2 radius + ||d_miss|| from the target would log an infinite distance: at
+    # 3e154 the first logged dist of this config overflows, at 1e300 every early row did
+    monkeypatch.setattr(experiments, "_run_seeds", lambda cfg, seeds: pytest.fail("a run started"))
+    argv = ["escape-s-r1", "--n", "8", "--r", "2", "--repeats", "2", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--epsilon", epsilon]) == 2
+    assert f"epsilon = {float(epsilon):.3g} is too large" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_large_escape_radius_under_the_bound_logs_finite_values(tmp_path):
+    argv = ["escape-s-r1", "--n", "8", "--r", "2", "--repeats", "2", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--epsilon", "1e150"]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["statuses"] == ["converged_to_X"] * 2
+    for name in ("run_000.csv", "run_001.csv", "summary.csv"):
+        rows = np.loadtxt(tmp_path / name, delimiter=",", skiprows=1)
+        assert len(rows) > 1000 and np.isfinite(rows).all()
+    assert rows[0, 1] > 1e149                  # summary.csv's first dist median: the radius
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

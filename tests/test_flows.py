@@ -437,6 +437,32 @@ def test_flow_observer_sees_every_logged_row_and_logs_its_column(monkeypatch, sy
             assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", ["fixed", "varying", "dlra", "rescaled"])
+def test_runs_do_not_depend_on_their_starts_memory_layout(kind):
+    # the runner re-QRs every start into its invariant subspace, so a builder may return its
+    # stacks in any layout: here C-ordered, then with each matrix Fortran-ordered
+    gt = sf.make_ground_truth(12, 3, [3.0, 2.0, 1.0], seed=5)
+    sp = sf.spurious_point(gt, [True, True, False])
+    starts = [sf.perturb_near(sf.sample_spurious_tuple(sp, gt, seed), 0.3, seed)
+              for seed in range(3)] + [_random_point(gt, seed) for seed in range(3)]
+
+    def fortran(lo, hi):
+        return tuple(mT(mT(x).copy()) for x in _runner.stack(starts[lo:hi]))
+
+    assert fortran(0, 2)[0][0].flags.f_contiguous and _runner.stack(starts)[0][0].flags.c_contiguous
+    runs = []
+    for build in (lambda lo, hi: _runner.stack(starts[lo:hi]), fortran):
+        if kind in ("fixed", "varying"):
+            cfg = sf.GDConfig(0.2, kind, max_iters=300)
+            runs.append([(run.records, run.point.U, run.point.S)
+                         for run in rgd.run_rgd_batch(len(starts), build, gt, cfg)])
+        else:
+            runs.append([run[1:] for run in _integrate_batch(kind, len(starts), build, gt, 0.5,
+                                                              sf.StepControls(dt=0.01))])
+    for c_run, f_run in zip(*runs, strict=True):
+        assert [x.tobytes() for x in c_run] == [x.tobytes() for x in f_run]
+
+
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
 @given(kind=st.sampled_from(["fixed", "varying", "dlra", "rescaled"]), n=st.integers(3, 10),
        data=st.data())

@@ -128,6 +128,17 @@ def test_perturb_near_distance_bound():
         assert frob(pt.dense() - Z) <= 2 * eps
 
 
+def test_degenerate_radius_at_a_rank_zero_point_names_its_norm(monkeypatch):
+    # ||Z_sp||_F = 0 there, so the message cannot give epsilon as radius / ||Z_sp||_F
+    gt = sf.make_ground_truth(6, 2, [2.0, 1.0], seed=0)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [False, False]), gt, seed=0)
+    truncate = manifold.truncate
+    monkeypatch.setattr(manifold, "truncate",
+                        lambda w, V, r: (*truncate(w, V, r)[:2], np.ones(w.shape[:-1], bool)))
+    with pytest.raises(spurious.DegenerateRadiusError, match=r"degenerate \(\|\|Z_sp\|\|_F = 0\)$"):
+        sf.perturb_near(tup, 0.5, seed=0)
+
+
 def test_perturb_near_rejects_zero_epsilon():
     gt = sf.make_ground_truth(8, 2, [2, 1], seed=9)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False]), gt, seed=0)
@@ -228,10 +239,8 @@ def test_block_starts_equal_serial_starts_bitwise(monkeypatch, scenario, n):
         parts = [slice(lo, lo + m) for lo, m in zip(np.cumsum([0] + sizes), sizes)]
         assert passes == [max(one[0][part]) for part in parts]
         assert dense == [sum(one[1][part]) for part in parts]
-        # laid out as the runner's stack of the points, with each U column-major as retract's:
-        # descent rounds differently on a row-major copy
+        # laid out as the runner's stack of the points
         assert (U.strides, S.strides) == tuple(x.strides for x in _runner.stack(serial))
-        assert U[0].flags.f_contiguous and serial[0].U.flags.f_contiguous
         for i, point in enumerate(serial):
             _assert_same_start(U[i], S[i], point)
 
@@ -272,7 +281,7 @@ def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
     for i, seed in enumerate(seeds):
         # the seed's first draw, or its second for the hit one, through the same kernel alone
         tup, W = _draws(sp, gt, radius, seed, 2 if i == hit else 1)
-        U1, S1, _ = manifold._dense_retract(W[-1][None], 3, tup.U[None], 1, _rate(sp, radius))
+        U1, S1, _ = manifold._top_pairs(W[-1][None], 3, tup.U[None], 1, _rate(sp, radius))
         _assert_same_start(U[i], S[i], sf.FactoredPoint(U1[0], S1[0]))
 
 
@@ -311,9 +320,9 @@ def test_exactly_singular_shift_takes_eigh_for_that_matrix_alone():
         np.linalg.solve(D - np.linalg.eigvalsh(D)[-3] * np.eye(8), np.ones(8))
     Y = np.stack([tup.U, np.eye(8)[:, :3]])
     stack = np.stack([W, D])
-    U, S, deficient = manifold._dense_retract(stack, 3, Y, 2, _rate(sp, radius))
+    U, S, deficient = manifold._top_pairs(stack, 3, Y, 2, _rate(sp, radius))
     assert np.array_equal(stack, [W, D])                     # the shifted diagonal is restored
-    U1, S1, _ = manifold._dense_retract(W[None], 3, tup.U[None], 2, _rate(sp, radius))
+    U1, S1, _ = manifold._top_pairs(W[None], 3, tup.U[None], 2, _rate(sp, radius))
     _assert_same_start(U[0], S[0], sf.FactoredPoint(U1[0], S1[0]))
     _assert_same_start(U[1], S[1], sf.retract(D, 3).point)
     assert not deficient.any()
