@@ -6,14 +6,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from .manifold import (
-    GroundTruth,
-    factored_blocks,
-    mT,
-    orth_defect,
-    residual_norms,
-    sym,
-)
+from .manifold import GroundTruth, factored_blocks, residual_norms
 
 # Factor entries per stacked block of runs (131 at n=100, r=5), and dense n x n
 # entries per stacked call (dense_stack).  The 400 escape runs at n=100, r=5 took
@@ -32,14 +25,16 @@ def stack(points) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([p.U for p in points]), np.stack([p.S for p in points])
 
 
-def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
-    """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
-    drift = orth_defect(U)
-    redo = drift > tol
-    if redo.any():
-        U[redo], R = np.linalg.qr(U[redo])
-        S[redo] = sym(R @ S[redo] @ mT(R))
-    return drift
+def compress(U: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
+    """Stacked factors (R, n, r) in the span of each run's columns and the target's eigenvectors.
+
+    With X = V D V^T, one QR [V, U] = Phi T per run gives its basis Phi (n x m, m = min(n, 2r)),
+    its m-row factors T[:, r:] and the m-row target T[:, :r], which depends on V alone: the
+    same bits in every run.  Returns (Phi, T[:, r:], the m-row target); Phi @ U lifts back.
+    """
+    V = np.broadcast_to(gt.U, U.shape[:-1] + (gt.r,))
+    Phi, T = np.linalg.qr(np.concatenate([V, U], axis=-1))
+    return Phi, T[..., gt.r:], GroundTruth(T[0, :, :gt.r], gt.d)
 
 
 def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,
@@ -48,10 +43,9 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
-    run's arithmetic depends on the others.  With X = V D V^T, descent steps and flow velocities
-    from U lie in span(U, V), so a run stays in span(U_0, V): one QR [V, U_0] = Phi T per run
-    gives its basis Phi (n x m, m = min(n, 2r)), start T[:, r:] and target T[:, :r], which
-    depends on V alone and is the block's one m-row target ``gt_m``.  Steps work on m-row U,
+    run's arithmetic depends on the others.  Descent steps and flow velocities from U lie in
+    span(U, V), X = V D V^T, so a run stays in span(U_0, V): :func:`compress` gives each run its
+    basis Phi, its m-row start and the block's one m-row target ``gt_m``.  Steps work on m-row U,
     lifted to Phi U only where it leaves: terminal factors and observer calls.  At each logged
     point ``observe(x, ids, U, S)`` sees every live run (``ids`` among all starts), terminal ones
     too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
@@ -67,10 +61,7 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
     while lo < count:
         hi = count if 2 * (count - lo) <= 3 * cap else lo + cap
         U, S = build(lo, hi)
-        V = np.broadcast_to(gt.U, U.shape[:-1] + (gt.r,))
-        Phi, T = np.linalg.qr(np.concatenate([V, U], axis=-1))
-        U = T[..., gt.r:]
-        gt_m = GroundTruth(T[0, :, :gt.r], gt.d)    # from V alone: the same bits in every run
+        Phi, U, gt_m = compress(U, gt)
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi
         ends = {}

@@ -33,6 +33,7 @@ from .manifold import (
     factored_blocks,
     frob,
     mT,
+    orth_defect,
     relative_spectrum,
     sym,
 )
@@ -225,6 +226,16 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
 _SYSTEMS = {"dlra": _plain_from_eigh, "rescaled": _scaled_from_eigh}
 
 
+def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
+    """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
+    drift = orth_defect(U)
+    redo = drift > tol
+    if redo.any():
+        U[redo], R = np.linalg.qr(U[redo])
+        S[redo] = sym(R @ S[redo] @ mT(R))
+    return drift
+
+
 def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
               controls: StepControls | None = None) -> FlowResult:
     """Fixed-step classical RK4 integration of either flow system.
@@ -267,7 +278,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
-        drift = _runner.reorthonormalize(U, S, TAU_ORTH)
+        drift = reorthonormalize(U, S, TAU_ORTH)
         if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")

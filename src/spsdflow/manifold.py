@@ -345,7 +345,9 @@ def _shift_invert(W: np.ndarray, shifts: np.ndarray, X: np.ndarray) -> np.ndarra
         out.append(_solve(W, X[..., j:j + 1]))
     W[..., i, i] = diag
     X = np.concatenate(out, axis=-1)
-    return X / np.linalg.norm(X, axis=-2, keepdims=True)
+    # a column whose squared entries overflow comes out 0 or NaN: the certificate sends it to eigh
+    with np.errstate(over="ignore", invalid="ignore"):
+        return X / np.linalg.norm(X, axis=-2, keepdims=True)
 
 
 def _solve(A: np.ndarray, b: np.ndarray) -> np.ndarray:

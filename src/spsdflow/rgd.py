@@ -7,12 +7,12 @@ varying rule keeps the linearized iteration map well defined up to
 rank-deficit-one boundary points, where it has exactly one expanding
 eigendirection.
 
-Steps run on the factors: the shifted matrix lives in the span of the
-current columns plus the projected target columns, so one (2r)-by-(2r)
-eigendecomposition per step replaces a dense n-by-n one.  Runs step on the
-block runner in the span of their start and the target's eigenvectors, in
-min(n, 2r) rows at O(r^3) per step; :func:`rgd_step` and the
-finite-difference oracle keep the n-row arithmetic.
+Steps run on the factors.  Every iterate stays in the span of the start and
+the target's eigenvectors, and in a basis of it, of m = min(n, 2r) rows, the
+shifted matrix is m-by-m: one m-by-m eigendecomposition per step, at O(r^3),
+replaces a dense n-by-n one.  Runs step in that basis on the block runner;
+:func:`rgd_step` and the finite-difference oracle's step compress to it the
+same way and lift back.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from .manifold import (
     GroundTruth,
     RetractionResult,
     TAU_GRAD,
-    TAU_ORTH,
     TangentParam,
     _int,
     _real,
@@ -86,38 +85,29 @@ def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
           stepsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One retracted descent step for a stack of runs, from precomputed blocks.
 
-    Z - a * grad = U (S - a (S - A)) U^T + a B U^T + a U B^T is supported on
-    [U, Q] with Q an orthonormal basis for B, so the retraction reduces to
-    an eigendecomposition of a small core.  ``U`` and ``B`` are (R, n, r),
-    ``S`` and ``A`` (R, r, r), ``stepsize`` (R,); every factorization is one
-    batched call whose result for a run does not depend on the others.
+    ``U`` and ``B`` are (R, m, r) in a run's m-row basis (:func:`spsdflow._runner.compress`),
+    ``S`` and ``A`` (R, r, r), ``stepsize`` (R,).  There the shifted matrix
+    Z - a * grad = U (S - a (S - A)) U^T + a (U B^T + B U^T) is m x m, and the retraction
+    truncates one batched ``eigh`` of it, whose result for a run does not depend on the others.
     Returns the new factors and each run's rank-deficiency flag.
     """
-    R, r = S.shape[0], S.shape[-1]
-    B = B - U @ (mT(U) @ B)               # guard against orthogonality drift
-    Q, Rb = np.linalg.qr(B)
     a = stepsize[:, None, None]
-    K = np.zeros((R, 2 * r, 2 * r))
-    K[:, :r, :r] = S - a * (S - A)
-    K[:, r:, :r] = a * Rb
-    K[:, :r, r:] = mT(K[:, r:, :r])
-    V, S_new, deficient = truncate(*np.linalg.eigh(K), r)
-    U_new = np.concatenate([U, Q], axis=2) @ V
-    _runner.reorthonormalize(U_new, S_new, 0.1 * TAU_ORTH)   # drift control over long runs
-    return U_new, S_new, deficient
+    M = U @ (S - a * (S - A)) @ mT(U) + a * (U @ mT(B) + B @ mT(U))
+    return truncate(*np.linalg.eigh(M), S.shape[-1])
 
 
 def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RetractionResult:
     """One projected gradient step; flags a rank-deficient retraction.
 
     Equivalent to ``retract(Z - alpha_k * riem_gradient(Z), r)`` but runs in
-    O(n r^2) on the factors: a batch of one through the descent kernel.
+    O(n r^2) on the factors: a batch of one, compressed and stepped like a run.
     """
-    U, S = point.U[None], point.S[None]
-    A, B, _ = factored_blocks(U, gt)
+    Phi, U, gt_m = _runner.compress(point.U[None], gt)
+    S = point.S[None]
+    A, B, _ = factored_blocks(U, gt_m)
     sigma = np.linalg.eigvalsh(S)[:, 0] if cfg.mode == "varying" else np.zeros(1)
     U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
-    return RetractionResult(FactoredPoint(U[0], S[0]), bool(deficient[0]))
+    return RetractionResult(FactoredPoint(Phi[0] @ U[0], S[0]), bool(deficient[0]))
 
 
 @dataclass
@@ -304,8 +294,10 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
 
     def step_dense(W):
         U, S, _ = truncate(*np.linalg.eigh(W), tup.r)
-        A, B, _ = factored_blocks(U, gt)
+        Phi, U, gt_m = _runner.compress(U, gt)
+        A, B, _ = factored_blocks(U, gt_m)
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
+        U = Phi @ U
         return sym(U @ S @ mT(U))
 
     basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))

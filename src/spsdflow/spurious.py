@@ -230,8 +230,8 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
     _real("epsilon", epsilon)
     if not draws:
         norm = math.hypot(*d_kept)        # ||Z_sp||_F; 0 at a rank-0 point
-        why = (f"radius = epsilon * ||Z_sp||_F = {epsilon / norm:.3g} * {norm:.3g}" if norm
-               else "||Z_sp||_F = 0")
+        why = (f"radius {epsilon:.3g} = {epsilon / norm:.3g} ||Z_sp||_F, ||Z_sp||_F = {norm:.3g}"
+               if norm else "||Z_sp||_F = 0")
         raise DegenerateRadiusError(f"no full-rank perturbation of radius {epsilon:.3g} found in "
                                     f"16 draws; epsilon is degenerate ({why})")
     R, n, r = U.shape

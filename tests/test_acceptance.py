@@ -423,3 +423,45 @@ def test_criterion_13_hessian_blows_down_near_the_boundary():
             "min eigs " + ", ".join(f"{m:.1f}" for m in mins))
     assert monotone
     assert mins[-1] <= -1e3
+
+
+# --------------------------------------------------------------- criterion 14
+
+def test_criterion_14_escape_time_law():
+    """Escape time against the start's distance from a rank-deficit-one point.
+
+    Varying mode: near the boundary the iteration map expands one direction by
+    the escape eigenvalue 1 + alpha d_miss of criterion 10, so the steps a run
+    needs grow like ln(1/epsilon) / ln(1 + alpha d_miss).  Fixed mode: the
+    map escapes in a bounded number of steps, whatever epsilon is.  Over
+    master seeds 0, 1000, ..., 9000 the measured slope over the predicted one
+    ran from 0.9949 to 1.0081, and a half-step move of an end median moves it
+    by 0.9%; the tolerance of 3% leaves room for about three such moves.  The
+    fixed-mode median was 22 at every epsilon for all ten seeds.
+    """
+    eps = np.array([1e-2, 1e-4, 1e-6, 1e-8, 1e-10])
+    medians, converged = {}, 0
+    for mode in ("varying", "fixed"):
+        medians[mode] = []
+        for epsilon in eps:
+            report = sf.run_experiment(ExperimentConfig(
+                scenario="escape_s_r1", n=30, r=3, alpha=0.5, mode=mode, epsilon=float(epsilon),
+                repeats=20, master_seed=0))
+            converged += report.status_counts.get("converged_to_X", 0)
+            medians[mode].append(float(np.median([t["iters"] for t in report.terminals])))
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=0)          # the scenario's target
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [1, 1, 0]), gt, 0)
+    predicted = 1.0 / np.log(sf.iteration_jacobian(tup, gt, 0.5).escape_eigenvalue)
+    slope = np.polyfit(np.log(1.0 / eps), medians["varying"], 1)[0]
+    ratio = slope / predicted
+    spread = max(medians["fixed"]) - min(medians["fixed"])
+    ok = converged == 200 and abs(ratio - 1.0) <= 0.03 and spread <= 1
+    _report(14, ok, "escape time grows like ln(1/epsilon) / ln(1 + alpha d_miss) in varying "
+            "mode and stays bounded in fixed mode",
+            f"{converged}/200 converged; varying medians {medians['varying']}, slope "
+            f"{slope:.4f} / predicted {predicted:.4f} = {ratio:.4f}; "
+            f"fixed medians {medians['fixed']}")
+    assert converged == 200
+    assert abs(ratio - 1.0) <= 0.03
+    # the fixed-step iteration counts do not grow with 1/epsilon, within one step
+    assert spread <= 1

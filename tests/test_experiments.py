@@ -305,9 +305,9 @@ def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # a radius from the squared entries of Z_sp would underflow to 0 and fail as a runtime error
     (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
      2, "configuration error: no full-rank perturbation of radius 1e-202 found in 16 draws"),
-    # and the message names both factors of that radius: epsilon and ||Z_sp||_F
+    # and the message names both factors of that radius: epsilon, as its ratio to ||Z_sp||_F
     (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
-     2, "epsilon is degenerate (radius = epsilon * ||Z_sp||_F = 0.01 * 1e-200)"),
+     2, "epsilon is degenerate (radius 1e-202 = 0.01 ||Z_sp||_F, ||Z_sp||_F = 1e-200)"),
 ])
 def test_extreme_spectra_fail_with_their_cause_and_write_nothing(tmp_path, argv, code, message):
     # in a subprocess: numpy's overflow warnings on the way are errors under pytest's filter

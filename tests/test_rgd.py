@@ -349,16 +349,16 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
 
 @pytest.mark.parametrize("mode", ["fixed", "varying"])
 def test_descent_block_step_call_budget(monkeypatch, mode):
-    # a block step is one eigh of the 2r x 2r cores, one QR of B and one eigvalsh for
-    # sigma_r, whatever the block size, plus one QR when some run is re-orthonormalized;
-    # a block adds one QR of [V, U_0], which compresses its runs to 2r rows
+    # a block step is one eigh of the m x m step matrices and one eigvalsh for sigma_r,
+    # whatever the block size; a block adds one QR of [V, U_0], which compresses its runs
+    # to m = min(n, 2r) rows
     gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
     rng = np.random.default_rng(6)
     starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), np.diag([2.5, 1.5, 0.6]))
               for _ in range(4)]
-    # drift 3.5e-11 > 0.1 TAU_ORTH: this run is re-orthonormalized after its first step
+    # drift 3.5e-11: a step's fresh eigenvectors leave nothing of it
     starts[1] = sf.FactoredPoint(starts[1].U * (1 + 1e-11), starts[1].S)
-    calls = {"eigh": 0, "qr": 0, "eigvalsh": 0, "redo": 0}
+    calls = {"eigh": 0, "qr": 0, "eigvalsh": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -366,22 +366,22 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
             return fn(*args, **kwargs)
         return wrapper
 
-    redo = _runner.reorthonormalize       # looked up in the runner by descent and flows
+    drifts = []                               # (k, drift of the drifted run's lifted U)
 
-    def reorthonormalize(U, S, tol):
-        drift = redo(U, S, tol)
-        calls["redo"] += bool((drift > tol).any())
-        return drift
+    def observe(k, ids, U, S):
+        drifts.extend((k, x) for i, x in zip(ids, orth_defect(U)) if i == 1)
 
     for name in ("eigh", "qr", "eigvalsh"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    monkeypatch.setattr(_runner, "reorthonormalize", reorthonormalize)
     steps = 5
-    runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, mode, max_iters=steps)))
+    cfg = sf.GDConfig(0.1, mode, max_iters=steps)
+    runs = list(run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
-    assert calls["redo"] >= 1
-    assert calls == {"eigh": steps, "qr": 1 + steps + calls["redo"], "eigvalsh": steps + 1,
-                     "redo": calls["redo"]}
+    assert calls == {"eigh": steps, "qr": 1, "eigvalsh": steps + 1}
+    assert [k for k, _ in drifts] == list(range(steps + 1))
+    assert drifts[0][1] > 3e-11                                # the start, lifted
+    assert all(x <= 1e-14 for _, x in drifts[1:])
+    assert orth_defect(sf.rgd_step(starts[1], gt, cfg).point.U) <= 1e-14
 
 
 @pytest.mark.parametrize("at, status", [("target", "converged_to_X"),
@@ -433,7 +433,7 @@ def test_batch_rank_drop_names_the_step():
 
 
 def _rgd_step_loop(init, gt, cfg):
-    """Status and rows (k, dist, sigma_r, grad_norm) of descent by the full-space rgd_step."""
+    """Status and rows (k, dist, sigma_r, grad_norm) of descent by n-row rgd_step points."""
     point, rows = init, []
     while True:
         dist, grad = sf.distance_to_target(point, gt), sf.gradient_norm(point, gt)
@@ -452,7 +452,8 @@ def _rgd_step_loop(init, gt, cfg):
 @pytest.mark.parametrize("mode, alpha", [("fixed", 0.2), ("varying", 1.8)])
 def test_compressed_runs_match_the_full_space_step(mode, alpha):
     # the runner steps each run in the 2r-dimensional span of its start and the target's
-    # eigenvectors; a loop of the full-space rgd_step takes the same path up to rounding
+    # eigenvectors; a loop of rgd_step, which compresses to its point's span at every step
+    # and lifts back to n rows, takes the same path up to rounding
     gt = sf.make_ground_truth(40, 3, [3, 2, 1], seed=15)
     cfg = sf.GDConfig(alpha=alpha, mode=mode, max_iters=5000)
     sp = sf.spurious_point(gt, [True, True, False])
@@ -585,24 +586,16 @@ def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
 def test_fd_oracle_call_budget(monkeypatch, entries, s):
     # one tuple at n=8, r=3 (dim 21) goes in s = ceil(dim / m) stacks of m = 1024 (the
     # default), 5 or 1 columns.  Each stack steps twice (+h and -h), and a step costs one
-    # dense eigh, one 2r x 2r eigh, one eigvalsh and one QR of B, plus one QR when some
-    # column is re-orthonormalized; the boundary frame costs one complete QR
+    # dense eigh, one QR of [V, U] to m = 2r = 6 rows, one eigvalsh and one 6 x 6 eigh;
+    # the boundary frame costs one complete QR
     gt = sf.make_ground_truth(8, 3, [4, 3, 2], seed=21)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
     if entries is not None:
         monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
-    redo, redos = _runner.reorthonormalize, []
-
-    def reorthonormalize(U, S, tol):
-        drift = redo(U, S, tol)
-        redos.append(bool((drift > tol).any()))
-        return drift
-    monkeypatch.setattr(_runner, "reorthonormalize", reorthonormalize)
     calls = _count_linalg(monkeypatch, "eigh", "eigvalsh", "qr")
     sf.fd_iteration_matrix(tup, gt, 0.7)
-    assert len(redos) == 2 * s                       # every step checks its drift once
     assert calls == Counter({("eigh", 8): 2 * s, ("eigh", 6): 2 * s, ("eigvalsh", 3): 2 * s,
-                             ("qr", 3): 2 * s + sum(redos), ("qr", 4): 1})
+                             ("qr", 6): 2 * s, ("qr", 4): 1})
 
 
 @pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])

@@ -139,6 +139,27 @@ def test_degenerate_radius_at_a_rank_zero_point_names_its_norm(monkeypatch):
         sf.perturb_near(tup, 0.5, seed=0)
 
 
+def test_degenerate_radius_message_gives_the_radius_as_a_multiple_of_the_norm():
+    # perturb_near's caller gives the radius itself, so the message states the radius and its
+    # ratio to ||Z_sp||_F = hypot(3, 2) without naming that ratio
+    gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=8)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, seed=0)
+    with pytest.raises(spurious.DegenerateRadiusError) as err:
+        sf.perturb_near(tup, 1e-30, seed=0)
+    assert str(err.value).endswith(
+        "epsilon is degenerate (radius 1e-30 = 2.77e-31 ||Z_sp||_F, ||Z_sp||_F = 3.61)")
+
+
+def test_degenerate_radius_at_a_tiny_spectrum_warns_nothing():
+    # the shift-invert solves' entries near 1e-200 overflow when squared for their norm; such
+    # a column fails the certificate and goes to eigh without a RuntimeWarning, which pytest's
+    # filter makes an error
+    gt = sf.make_ground_truth(12, 2, [1e-200, 1e-201], seed=0)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False]), gt, seed=0)
+    with pytest.raises(spurious.DegenerateRadiusError, match="radius 1e-202 found in 16 draws"):
+        sf.perturb_near(tup, 1e-202, seed=0)
+
+
 def test_perturb_near_rejects_zero_epsilon():
     gt = sf.make_ground_truth(8, 2, [2, 1], seed=9)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, False]), gt, seed=0)
