@@ -25,16 +25,19 @@ def stack(points) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([p.U for p in points]), np.stack([p.S for p in points])
 
 
-def compress(U: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
+def compress(U: np.ndarray, gt: GroundTruth, gt_m: GroundTruth | None = None
+             ) -> tuple[np.ndarray, np.ndarray, GroundTruth]:
     """Stacked factors (R, n, r) in the span of each run's columns and the target's eigenvectors.
 
     With X = V D V^T, one QR [V, U] = Phi T per run gives its basis Phi (n x m, m = min(n, 2r)),
     its m-row factors T[:, r:] and the m-row target T[:, :r], which depends on V alone: the
-    same bits in every run.  Returns (Phi, T[:, r:], the m-row target); Phi @ U lifts back.
+    same bits in every run and every call.  Returns (Phi, T[:, r:], the m-row target); Phi @ U
+    lifts back.  A caller that compresses again against gt passes the target it got as
+    ``gt_m``, which is returned instead of being built and validated again.
     """
     V = np.broadcast_to(gt.U, U.shape[:-1] + (gt.r,))
     Phi, T = np.linalg.qr(np.concatenate([V, U], axis=-1))
-    return Phi, T[..., gt.r:], GroundTruth(T[0, :, :gt.r], gt.d)
+    return Phi, T[..., gt.r:], GroundTruth(T[0, :, :gt.r], gt.d) if gt_m is None else gt_m
 
 
 def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,

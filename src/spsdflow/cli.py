@@ -1,8 +1,10 @@
 """Command-line front end: one subcommand per experiment scenario.
 
 Every flag has a JSON-config equivalent (``spsdflow run --config cfg.json``
-with identical field names).  Exit codes: 0 success, 2 configuration error,
-3 runtime failure.
+with identical field names).  The flows read no ``--alpha``, ``--mode``,
+``--tol-dist`` or ``--epsilon``, so giving one to them is a configuration error;
+a JSON config carries every field and is accepted whole.  Exit codes: 0 success,
+2 configuration error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .experiments import SCENARIOS, ExperimentConfig, run_experiment
+from .experiments import _FLOW_SYSTEM, SCENARIOS, ExperimentConfig, run_experiment
 from .spurious import DegenerateRadiusError
 
 EXIT_OK = 0
@@ -69,6 +71,10 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
             cfg = dataclasses.replace(cfg, out_dir=args.out_dir)
         return cfg
     fields = {k: v for k, v in vars(args).items() if k != "command"}
+    unread = [f"--{k.replace('_', '-')}" for k in ("alpha", "mode", "tol_dist", "epsilon")
+              if k in fields]             # only given flags are set: the parser suppresses defaults
+    if unread and args.scenario in _FLOW_SYSTEM:
+        raise ValueError(f"{args.command} does not read {', '.join(unread)}")
     eig = fields.pop("eigenvalues", None)
     if eig is not None:                   # "" is an empty spectrum, not the default
         fields["eigenvalues"] = tuple(float(v) for v in eig.split(","))

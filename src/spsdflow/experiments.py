@@ -52,7 +52,8 @@ _ESCAPE_DEFICIT = {"escape_s_r1": 1, "escape_s_r2": 2}   # rank deficit of the s
 _FLOW_SYSTEM = {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}
 # Peak bytes over n^2 of one escape start's dense retraction through the full eigh, which any
 # start may take: 42.3 and 41.3 above a 38 MB base at n = 1000 and 2000 (one start, one BLAS
-# thread).  The top-r subset solve peaks at 22.5, 23.7 and 23.9 at n = 1000, 2000 and 3000.
+# thread; 43.3 and 41.6 when measured again).  The top-r subset solve, whose dense W is built
+# in place, peaks at 19.6, 17.8 and 17.2 at n = 1000, 2000 and 3000.
 _START_BYTES_PER_ENTRY = 42
 # The fields that a scenario fixes, whatever the config gives: example 1.1's closed-form 3-by-3
 # geometry and stepsize rule, and the global scenarios' rules; the others take ``mode``.

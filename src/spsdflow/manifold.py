@@ -286,15 +286,18 @@ _POWER_STEPS_MAX = 16
 def _top_pairs(W: np.ndarray, r: int, Y: np.ndarray, k: int, rate: float) -> tuple:
     """:func:`truncate` of a stack W's top r eigenpairs, certified per matrix, without its eigh.
 
-    Y's power iterates under W contract onto the top r - k eigenvectors by at most ``rate`` per
-    step; if reaching ``_RITZ_TOL`` takes over ``_POWER_STEPS_MAX`` steps, this is one ``eigh``.
-    Else one ``eigvalsh`` gives the spectrum w, those QR-normalized power steps from Y resolve
-    the top r - k pairs, and a shift-invert step at each of the k smallest of w's top r values,
-    from Y's last k columns, the others; a Rayleigh-Ritz ``eigh`` on the span of both gives the
-    pairs.  Every Ritz value must lie within ``_RITZ_TOL max(1, max|w|)`` of w's.  After one
-    step a pair's residual ||W v - theta v|| times |theta| over theta's gap to the values below
-    w's top r (Davis-Kahan: its share of the truncation error) must too.  A matrix whose pairs
-    fail takes a second step from the first, which leaves them as exact as eigh's: then its
+    Y's power iterates under W contract onto the top s = r - k eigenvectors by at most ``rate``
+    per step (Weyl's bound); if that takes over ``_POWER_STEPS_MAX`` steps to reach
+    ``_RITZ_TOL``, this is one ``eigh``.  Else one ``eigvalsh`` gives the spectrum w, and each
+    matrix takes the QR-normalized power steps from Y that its own contraction
+    max(|w[-s-1]|, |w[0]|) / w[-s] needs, at most as many as ``rate`` needs (a matrix whose
+    steps are done keeps its iterate while its stack steps on).  They resolve the top s pairs,
+    and a shift-invert step at each of the k smallest of w's top r values, from Y's last k
+    columns, the others; a Rayleigh-Ritz ``eigh`` on the span of both gives the pairs.  Every
+    Ritz value must lie within ``_RITZ_TOL max(1, max|w|)`` of w's.  After one step a pair's
+    residual ||W v - theta v|| times |theta| over theta's gap to the values below w's top r
+    (Davis-Kahan: its share of the truncation error) must too.  A matrix whose pairs fail
+    takes a second step from the first, which leaves them as exact as eigh's: then its
     residuals must be at most ``_RESIDUAL_TOL max(1, max|w|)`` and no shifted matrix singular.
     A matrix that fails again goes through ``eigh``.
     """
@@ -302,8 +305,10 @@ def _top_pairs(W: np.ndarray, r: int, Y: np.ndarray, k: int, rate: float) -> tup
     if steps > _POWER_STEPS_MAX:
         return truncate(*np.linalg.eigh(W), r)
     w = np.linalg.eigvalsh(W)
-    for _ in range(steps):
-        Y = np.linalg.qr(W @ Y)[0]
+    own = np.maximum(np.abs(w[..., k - r - 1]), np.abs(w[..., 0])) / w[..., k - r]
+    count = np.ceil(math.log(_RITZ_TOL) / np.log(np.clip(own, _RITZ_TOL, rate)))
+    for i in range(int(count.max())):
+        Y = np.where((i < count)[:, None, None], np.linalg.qr(W @ Y)[0], Y)
     scale = np.maximum(1.0, np.abs(w).max(axis=-1))
     X, V, ok = Y[..., r - k:], None, np.zeros(len(W), dtype=bool)
     for second in (False, True):          # the second step keeps the first's certified pairs

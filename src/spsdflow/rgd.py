@@ -291,10 +291,12 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
+    gt_m = None                           # the m-row target: the first stack builds it
 
     def step_dense(W):
+        nonlocal gt_m
         U, S, _ = truncate(*np.linalg.eigh(W), tup.r)
-        Phi, U, gt_m = _runner.compress(U, gt)
+        Phi, U, gt_m = _runner.compress(U, gt, gt_m)
         A, B, _ = factored_blocks(U, gt_m)
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
         U = Phi @ U

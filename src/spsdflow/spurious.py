@@ -221,11 +221,15 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
                draws: int = 16) -> tuple:
     """Stacked (U, S) of :func:`perturb_near` at the tuples (U, S), one generator each.
 
-    Sub-stacks of ``dense_stack(n)`` dense W = sym(U S U^T) + epsilon E are built in one buffer
-    for one retraction; W is exactly symmetric, so ``retract``'s ``sym`` would change no bit.
+    Sub-stacks of ``dense_stack(n)`` dense W = sym(U S U^T) + epsilon E are built in place in
+    one buffer for one retraction; W is exactly symmetric, so ``retract``'s ``sym`` would change
+    no bit.  E = sym(G) / ||sym(G)||_F, bit for bit, from each generator's next draw G: one
+    n x n scratch takes the draw and is symmetrized and scaled in place, so no other n x n
+    array is alive beside the buffer, and it is freed before the eigensolver copies the buffer.
     The retraction starts from the tuples' U, whose power iterates converge to W's top
-    ``len(d_kept)`` eigenvectors by Weyl's bound: ||epsilon E||_2 <= epsilon, so those values
-    exceed min(d_kept) - epsilon and the others are at most epsilon in size.
+    ``len(d_kept)`` eigenvectors; Weyl's bound ||epsilon E||_2 <= epsilon puts those values
+    above min(d_kept) - epsilon and the others at most epsilon in size, which bounds their
+    contraction for ``_top_pairs``' choice of ``eigh``.
     """
     _real("epsilon", epsilon)
     if not draws:
@@ -240,21 +244,40 @@ def _perturbed(U: np.ndarray, S: np.ndarray, d_kept: np.ndarray, epsilon: float,
     rate = epsilon / low if low > 0 else 1.0
     US = U @ S
     buf = np.empty((min(size, R), n, n))
-    parts = []                            # (U, S, deficient) per sub-stack
+    U_out, S_out, deficient = np.empty((R, n, r)), np.empty((R, r, r)), np.empty(R, dtype=bool)
     for lo in range(0, R, size):
         hi = min(lo + size, R)
         W = np.matmul(US[lo:hi], mT(U[lo:hi]), out=buf[:hi - lo])
-        W += mT(W)                        # sym(U S U^T) in place
-        W *= 0.5
+        E = np.empty((n, n))
         for w, rng in zip(W, rngs[lo:hi]):
-            E = sym(rng.standard_normal((n, n)))
+            _sym_in_place(w)
+            _sym_in_place(rng.standard_normal(out=E))
             E /= frob(E)
-            w += epsilon * E
-        del E                             # before the eigensolver's own copies: peak memory
-        parts.append(_top_pairs(W, r, U[lo:hi], r - len(d_kept), rate))
-    U_out, S_out, deficient = (np.concatenate(v) for v in zip(*parts))
+            E *= epsilon
+            w += E
+        del E
+        U_out[lo:hi], S_out[lo:hi], deficient[lo:hi] = _top_pairs(W, r, U[lo:hi],
+                                                                   r - len(d_kept), rate)
+    del buf, W, w                         # before a redraw's own buffer
     if deficient.any():                   # such a start draws again from its generator
         redo = np.flatnonzero(deficient)
         U_out[redo], S_out[redo] = _perturbed(U[redo], S[redo], d_kept, epsilon,
                                               [rngs[i] for i in redo], draws - 1)
     return U_out, S_out
+
+
+# Rows of the blocks that _sym_in_place pairs: a temporary of at most 128 KB.
+_SYM_BLOCK = 128
+
+
+def _sym_in_place(A: np.ndarray) -> None:
+    """A <- sym(A) bit for bit, for a square A, one pair of blocks at a time."""
+    n = len(A)
+    for i in range(0, n, _SYM_BLOCK):
+        for j in range(i, n, _SYM_BLOCK):
+            I, J = slice(i, i + _SYM_BLOCK), slice(j, j + _SYM_BLOCK)
+            T = A[J, I].T.copy()          # C order: the sum below needs no iteration buffers
+            T += A[I, J]
+            T *= 0.5
+            A[I, J] = T
+            A[J, I] = T.T

@@ -635,6 +635,22 @@ def test_cli_flags_fill_config_fields():
         assert cfg == expected
 
 
+@pytest.mark.parametrize("flag, value", [("--alpha", "0.5"), ("--mode", "varying"),
+                                         ("--tol-dist", "0.5"), ("--epsilon", "0.3")])
+@pytest.mark.parametrize("command", ["flow-dlra", "flow-rescaled"])
+def test_flows_reject_the_flags_they_never_read(tmp_path, capsys, command, flag, value):
+    # a flow's run does not depend on these four, so a given one would be recorded and ignored
+    out = tmp_path / "out"
+    assert main([command, "--n", "8", "--r", "2", flag, value, "--out-dir", str(out)]) == 2
+    assert f"configuration error: {command} does not read {flag}" in capsys.readouterr().err
+    assert not out.exists()
+    # a JSON config carries every field, these four included
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(ExperimentConfig(scenario=command.replace("-", "_"), n=8, r=2,
+                                    t_end=0.1).to_json())
+    assert main(["run", "--config", str(cfg)]) == 0
+
+
 def test_cli_eigenvalue_flag():
     code = main(["global-fixed", "--n", "12", "--r", "2", "--eigenvalues", "4,1",
                  "--repeats", "1", "--max-iters", "500", "--alpha", "0.4"])

@@ -598,6 +598,25 @@ def test_fd_oracle_call_budget(monkeypatch, entries, s):
                              ("qr", 6): 2 * s, ("qr", 4): 1})
 
 
+def test_fd_oracle_builds_its_m_row_target_once(monkeypatch):
+    # the oracle's 2 s = 42 compressions (s = 21 stacks of one column) share the target that
+    # the first one builds: T[:, :r] of the QR of [V, U] depends on V alone
+    gt = sf.make_ground_truth(8, 3, [4, 3, 2], seed=21)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
+    ref = sf.fd_iteration_matrix(tup, gt, 0.7)
+    built, compress = [], _runner.compress
+
+    def counted(U, gt, gt_m=None):
+        out = compress(U, gt, gt_m)
+        built.append(gt_m is None)
+        return out
+
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", 8**2)
+    monkeypatch.setattr(_runner, "compress", counted)
+    assert sf.fd_iteration_matrix(tup, gt, 0.7).tobytes() == ref.tobytes()
+    assert built == [True] + [False] * 41
+
+
 @pytest.mark.parametrize("n, r, mask", [(8, 3, [True, False, True]), (40, 5, [True] * 4 + [False])])
 def test_iteration_jacobian_matrix_is_the_operator(n, r, mask):
     # the closed-form matrix maps coordinates as the ambient operator

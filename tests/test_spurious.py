@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -282,6 +283,40 @@ def test_starts_agree_with_the_dense_retraction(scenario, n, r, repeats, master_
         assert frob(U[i] @ S[i] @ U[i].T - sf.retract(W, r).point.dense()) <= 1e-13 * frob(W)
 
 
+@pytest.mark.parametrize("n", [100, spurious._SYM_BLOCK, 300])
+def test_dense_starts_built_in_place_equal_the_expression_bitwise(monkeypatch, n):
+    # W = sym(U S U^T) + radius sym(G) / ||sym(G)||_F, G the seed's draw: symmetrized one
+    # block pair at a time, at n below, equal to and above the symmetrization block
+    cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", n, repeats=3)
+    seen, top_pairs = [], spurious._top_pairs
+
+    def spy(W, *args):                    # the dense matrices, before the solves shift them
+        seen.extend(W.copy())
+        return top_pairs(W, *args)
+
+    monkeypatch.setattr(spurious, "_top_pairs", spy)
+    experiments._starts(cfg, gt, seeds)(0, len(seeds))
+    assert len(seen) == len(seeds)
+    for W, seed in zip(seen, seeds):
+        assert W.tobytes() == _draws(sp, gt, radius, seed)[1][0].tobytes()
+
+
+def test_dense_start_build_holds_two_dense_arrays():
+    # at n = 300 each start is a sub-stack of its own: its buffer and the draw's scratch are
+    # the only n x n arrays, and the scratch is freed before the eigensolver copies the buffer
+    n = 300
+    cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", n, repeats=3)
+    assert _runner.dense_stack(n) == 1
+    build = experiments._starts(cfg, gt, seeds)
+    tracemalloc.start()                   # traces only what the build allocates
+    try:
+        build(0, len(seeds))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * 8 * n**2
+
+
 def test_rank_deficient_draw_is_redrawn_for_its_seed_alone(monkeypatch):
     cfg, gt, sp, radius, seeds = _escape_setup("escape_s_r1", 30)
     hit, calls = 2, []
@@ -370,8 +405,9 @@ def test_escape_that_cannot_converge_goes_straight_to_eigh(monkeypatch):
 def test_escape_block_call_budget(monkeypatch, entries, subs):
     # a block of R starts takes ceil(R / m) dense sub-stacks, m = BLOCK_ENTRIES // n**2 (6 by
     # default at n = 100), and two QRs: fill columns and P.  Each sub-stack takes one eigvalsh,
-    # 10 power steps' QRs (Weyl's rate 0.038 to 2e-14) and one of [Y, X], one shift-invert
-    # solve, and one Rayleigh-Ritz eigh: none of these starts needs a second step
+    # 7 power steps' QRs (each start's own contraction, about 0.007, to 2e-14; Weyl's bound
+    # 0.038 would take 10) and one of [Y, X], one shift-invert solve, and one Rayleigh-Ritz
+    # eigh: none of these starts needs a second step
     cfg = ExperimentConfig(scenario="escape_s_r1", n=100, r=5, repeats=13)
     gt = experiments._shared_ground_truth(cfg)
     build = experiments._starts(cfg, gt, list(range(13)))
@@ -381,4 +417,4 @@ def test_escape_block_call_budget(monkeypatch, entries, subs):
     U, S = build(0, 13)
     assert U.shape == (13, 100, 5)
     counts = Counter(name for name, _ in calls)
-    assert counts == {"eigh": subs, "qr": 2 + 11 * subs, "eigvalsh": subs, "solve": subs}
+    assert counts == {"eigh": subs, "qr": 2 + 8 * subs, "eigvalsh": subs, "solve": subs}
