@@ -54,8 +54,9 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
     too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
     or at none.  Then a run ends at the first (mask, status) of ``stop`` whose mask holds; the
     rest go on by ``advance``.  ``core`` is the one decomposition of each logged core S as a
-    tuple (descent's ``(w,)`` of ``eigvalsh``, the flows' ``(w, P)`` of ``eigh``): sigma_r is
-    logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig, gt_m)`` gets it.
+    tuple (descent's ``(w,)`` with ``eigvalsh``'s bits, the flows' ``(w, P)`` of ``eigh``):
+    sigma_r is logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig, gt_m)``
+    gets it.
     Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm,
     observed columns) to the terminal point, and factors.
     """
@@ -76,15 +77,21 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
             eig = core(S)
             sigma = eig[0][:, 0]
             extra = [] if observe is None else observe(x, ids, Phi @ U, S) or []
-            log.append(np.column_stack([ids, np.full(ids.size, x), dist, sigma, grad, *extra]))
-            done = np.zeros(ids.size, dtype=bool)
+            row = np.empty((ids.size, 5 + len(extra)))
+            for k, column in enumerate((ids, x, dist, sigma, grad, *extra)):
+                row[:, k] = column
+            log.append(row)
+            done = None                   # a mask that holds nowhere costs one test
             for mask, status in stop(x, dist, sigma, grad):
-                for j in np.flatnonzero(mask & ~done):
-                    ends[ids[j]] = (status, Phi[j] @ U[j], S[j])
-                done |= mask
-            if done.all():
-                break
-            if done.any():                # only then: the filter copies every per-run array
+                if mask is not False and np.any(mask):
+                    if done is None:
+                        done = np.zeros(ids.size, dtype=bool)
+                    for j in np.flatnonzero(mask & ~done):
+                        ends[ids[j]] = (status, Phi[j] @ U[j], S[j])
+                    done |= mask
+            if done is not None:          # only then: the filter copies every per-run array
+                if done.all():
+                    break
                 ids, U, S, A, B, Phi, *eig = (v[~done] for v in (ids, U, S, A, B, Phi, *eig))
             x, U, S = advance(x, U, S, A, B, eig, gt_m)
         rows = np.concatenate(log)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -57,7 +58,7 @@ def frob(A: np.ndarray) -> float:
 
 def orth_defect(U: np.ndarray) -> np.ndarray:
     """Frobenius distance of U^T U from the identity, per matrix of a stack (NaN stays NaN)."""
-    G = mT(U) @ U - np.eye(U.shape[-1])
+    G = mT(U) @ U - _eye(U.shape[-1])
     return np.sqrt(inner(G, G))
 
 
@@ -65,6 +66,12 @@ def _freeze(A: np.ndarray) -> np.ndarray:
     out = np.array(A, dtype=float)
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=64)
+def _eye(k: int) -> np.ndarray:
+    """The k x k identity, read-only and shared: the per-step drift and residual terms use it."""
+    return _freeze(np.eye(k))
 
 
 def _finite(name: str, A, shape: tuple | None = None) -> np.ndarray:
@@ -220,9 +227,9 @@ def residual_norms(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
     The ranks may differ: F is r_U-by-r_U and C = V^T U is r_X-by-r_U.
     Stacked inputs give one pair of norms per point.
     """
-    T = S - A + sym((mT(U) @ U - np.eye(U.shape[-1])) @ (S + A))
+    T = S - A + sym((mT(U) @ U - _eye(U.shape[-1])) @ (S + A))
     grad2 = inner(T, T) + 2.0 * inner(B, B)
-    DE = d[:, None] * (np.eye(d.shape[0]) - C @ mT(C))   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
+    DE = d[:, None] * (_eye(d.shape[0]) - C @ mT(C))   # ||D^1/2 E D^1/2||^2 = tr(D E D E)
     return np.sqrt(grad2 + inner(DE, mT(DE))), np.sqrt(grad2)
 
 

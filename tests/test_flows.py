@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,8 @@ from spsdflow.flows import (
     _integrate_batch,
     _raw_rescaled,
 )
-from spsdflow.manifold import TAU_ORTH, factored_blocks, frob, mT, residual_norms, sym
+from spsdflow.manifold import (TAU_GAP, TAU_ORTH, TAU_RANK, factored_blocks, frob, mT,
+                               relative_spectrum, residual_norms, sym)
 
 
 def random_state(rng, gt, spectrum):
@@ -167,6 +170,78 @@ def test_scaled_inverse_rejects_non_finite_input(call, name):
     # eigh would otherwise turn one bad entry into an all-NaN answer
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
         call()
+
+
+def _scaled_unscreened(w, P):
+    # the rescaled core map with only its exact guards: the reference for its screen
+    size = np.abs(relative_spectrum(w))
+    if ((size[..., :1] <= TAU_RANK) & (size[..., 1:2] <= TAU_GAP)).any():
+        raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
+    if (size[..., 1:] <= TAU_RANK).any():
+        raise ExtensionError("a non-minimal eigenvalue vanishes; inverse undefined")
+    ratios = np.ones_like(w)
+    ratios[..., 1:] = w[..., :1] / w[..., 1:]
+    return sym((P * ratios[..., None, :]) @ mT(P)), w[..., 0]
+
+
+def _outcome(core_map, *args):
+    """The ExtensionError message, or the returned arrays' bytes."""
+    try:
+        return tuple(a.tobytes() for a in core_map(*args))
+    except ExtensionError as err:
+        return str(err)
+
+
+def _edge_spectra(top):
+    # ascending spectra whose small values sit one ulp either side of each guard's tolerance
+    # and of the screen's 2 TAU_GAP, times max(1, top), with either sign
+    scale = max(1.0, top)
+    edges = [0.0, 0.5 * top]
+    for tol in (TAU_RANK, TAU_GAP, 2 * TAU_GAP):
+        x = tol * scale
+        edges += [np.nextafter(x, 0.0), x, np.nextafter(x, np.inf)]
+    edges += [-x for x in edges]
+    pairs = [sorted(p) for p in itertools.combinations_with_replacement(edges, 2)]
+    return ([np.array([a, b, top]) for a, b in pairs]
+            + [np.array([-0.5 * top, -0.25 * top, c, top]) for c in edges if c >= -0.25 * top])
+
+
+@pytest.mark.parametrize("top", [1e-3, 1.0, 1e6])
+def test_screened_core_map_equals_its_exact_guards_bitwise(top):
+    rng = np.random.default_rng(5)
+    spectra = _edge_spectra(top)
+    outcomes = []
+    for w in spectra:
+        P = sf.haar_orthonormal(rng, w.size, w.size)
+        want = _outcome(_scaled_unscreened, w, P)
+        assert _outcome(flows._scaled_from_eigh, w, P) == want
+        S = sym((P * w) @ P.T)
+        assert _outcome(lambda S: (sf.scaled_inverse(S),), S) == _outcome(
+            lambda S: _scaled_unscreened(*np.linalg.eigh(S))[:1], S)
+        outcomes.append(isinstance(want, str))
+    assert 0 < sum(outcomes) < len(outcomes)     # both sides of the guards are covered
+    # stacks: every passing spectrum of one size, then each failing one among them
+    for r in (3, 4):
+        w = np.array([v for v, bad in zip(spectra, outcomes) if v.size == r and not bad])
+        P = sf.haar_orthonormal(rng, r, r)[None].repeat(len(w), axis=0)
+        assert _outcome(flows._scaled_from_eigh, w, P) == _outcome(_scaled_unscreened, w, P)
+        for v in (v for v, bad in zip(spectra, outcomes) if v.size == r and bad):
+            stack = np.concatenate([w, v[None]])
+            want = _outcome(_scaled_unscreened, stack, P[:1].repeat(len(stack), axis=0))
+            assert isinstance(want, str)
+            assert _outcome(flows._scaled_from_eigh, stack,
+                            P[:1].repeat(len(stack), axis=0)) == want
+
+
+@pytest.mark.parametrize("w", [[0.0], [1e-300], [-2.0], [np.nan], [np.nan, 1.0, 2.0],
+                               [0.5, np.nan, 2.0], [0.5, 1.0, np.nan]])
+def test_screened_core_map_at_rank_one_and_nan(w):
+    # r = 1 has nothing to guard; NaN fails the screen and the exact guards, as before
+    w = np.array(w)
+    P = sf.haar_orthonormal(np.random.default_rng(1), w.size, w.size)
+    want = _outcome(_scaled_unscreened, w, P)
+    assert not isinstance(want, str)
+    assert _outcome(flows._scaled_from_eigh, w, P) == want
 
 
 def test_gradient_of_scaled_inverse_boundary_cases():

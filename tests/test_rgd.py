@@ -347,14 +347,16 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
         assert np.array_equal(run.records, ref.records)
 
 
-@pytest.mark.parametrize("mode", ["fixed", "varying"])
-def test_descent_block_step_call_budget(monkeypatch, mode):
-    # a block step is one eigh of the m x m step matrices and one eigvalsh for sigma_r,
-    # whatever the block size; a block adds one QR of [V, U_0], which compresses its runs
-    # to m = min(n, 2r) rows
+@pytest.mark.parametrize("mode, scale", [("fixed", 1.0), ("varying", 1.0), ("fixed", 1e148)],
+                         ids=["fixed", "varying", "fixed-1e148"])
+def test_descent_block_step_call_budget(monkeypatch, mode, scale):
+    # a block step is one eigh of the m x m step matrices, whatever the block size; sigma_r
+    # comes off the exactly diagonal cores, except at a scale that LAPACK's eigvalsh rescales,
+    # where one eigvalsh per logged point keeps its bits; a block adds one QR of [V, U_0],
+    # which compresses its runs to m = min(n, 2r) rows
     gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
     rng = np.random.default_rng(6)
-    starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), np.diag([2.5, 1.5, 0.6]))
+    starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), scale * np.diag([2.5, 1.5, 0.6]))
               for _ in range(4)]
     # drift 3.5e-11: a step's fresh eigenvectors leave nothing of it
     starts[1] = sf.FactoredPoint(starts[1].U * (1 + 1e-11), starts[1].S)
@@ -377,11 +379,60 @@ def test_descent_block_step_call_budget(monkeypatch, mode):
     cfg = sf.GDConfig(0.1, mode, max_iters=steps)
     runs = list(run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
-    assert calls == {"eigh": steps, "qr": 1, "eigvalsh": steps + 1}
+    assert calls == {"eigh": steps, "qr": 1, "eigvalsh": 0 if scale == 1.0 else steps + 1}
     assert [k for k, _ in drifts] == list(range(steps + 1))
     assert drifts[0][1] > 3e-11                                # the start, lifted
     assert all(x <= 1e-14 for _, x in drifts[1:])
     assert orth_defect(sf.rgd_step(starts[1], gt, cfg).point.U) <= 1e-14
+
+
+def test_eigvalsh_of_an_exactly_diagonal_core_in_range_is_its_sorted_diagonal():
+    # the pin behind descent's sigma_r: a LAPACK that rotated or rescaled an exactly diagonal
+    # core whose largest entry lies in the range fails here instead of moving outputs
+    rng = np.random.default_rng(9)
+    lo, hi = rgd._DIAGONAL_RANGE
+    for r in range(1, 11):
+        for top in np.geomspace(lo, hi, 29):          # every 10 decades, both ends included
+            # entries over 14 decades below the largest, either sign, each core's largest = top
+            d = rng.choice([-1.0, 1.0], (50, r)) * top * 10.0 ** -rng.uniform(0, 14, (50, r))
+            d[np.arange(50), rng.integers(0, r, 50)] = top
+            S = np.zeros((50, r, r))
+            S.reshape(50, -1)[:, ::r + 1] = d
+            assert np.linalg.eigvalsh(S).tobytes() == np.sort(d, axis=-1).tobytes()
+            assert rgd._core_spectrum(S)[0].tobytes() == np.sort(d, axis=-1).tobytes()
+
+
+def _cores(*diagonals, off=0.0):
+    S = np.array([np.diag(d) for d in diagonals], dtype=float)
+    S[:, 0, -1] = S[:, -1, 0] = off if S.shape[-1] > 1 else S[:, 0, 0]
+    return S
+
+
+@pytest.mark.parametrize("S, diagonal", [
+    (_cores([2.5, 1.5, 0.6], [1e139, 1e138, 1e137]), True),
+    (_cores([1e140, 1.0, 1e-140], [0.6, 1.5, 2.5]), True),          # both ends, unsorted
+    (_cores([0.6, 1.5, 2.5], off=-0.0), True),
+    (_cores([1.0]), True),
+    (_cores([2.5, 1.5, 0.6], [np.nextafter(1e140, np.inf), 1.0, 0.5]), False),
+    (_cores([2.5, 1.5, 0.6], [1.0, 0.5, np.nextafter(1e-140, 0.0)]), False),
+    (_cores([1e148, 1e147, 1e146]), False),
+    (_cores([2.5, 1.5, 0.0]), False),                               # a zero keeps eigvalsh
+    (_cores([2.5, 1.5, 0.6], off=1e-300), False),                   # not exactly diagonal
+    (_cores([2.5, np.nan, 0.6]), False),
+    (_cores([2.5, 1.5, 0.6], off=np.nan), False),
+    (_cores([0.0]), False),
+], ids=["in-range", "range-ends", "signed-zero-off-diagonal", "r1", "above", "below", "1e148",
+        "zero", "off-diagonal", "nan-diagonal", "nan-off-diagonal", "r1-zero"])
+def test_descent_core_spectrum_reads_the_diagonal_only_in_range(monkeypatch, S, diagonal):
+    # descent's per-point spectrum: the sorted diagonal of an exactly diagonal stack with every
+    # diagonal magnitude in _DIAGONAL_RANGE, bit for bit what eigvalsh gives; else eigvalsh
+    want = None if np.isnan(S).any() else np.linalg.eigvalsh(S).tobytes()
+    fallback = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: fallback.append(S) or np.zeros(0))
+    (w,) = rgd._core_spectrum(S)
+    assert (not fallback) == diagonal
+    if diagonal:
+        assert w.tobytes() == want
 
 
 @pytest.mark.parametrize("at, status", [("target", "converged_to_X"),
