@@ -54,9 +54,8 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
     too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
     or at none.  Then a run ends at the first (mask, status) of ``stop`` whose mask holds; the
     rest go on by ``advance``.  ``core`` is the one decomposition of each logged core S as a
-    tuple (descent's ``(w,)`` with ``eigvalsh``'s bits, the flows' ``(w, P)`` of ``eigh``):
-    sigma_r is logged from its ascending eigenvalues, and ``advance(x, U, S, A, B, eig, gt_m)``
-    gets it.
+    tuple, for descent and both flows ``(w,)``, its ascending eigenvalues with ``eigvalsh``'s
+    bits: sigma_r is logged from w, and ``advance(x, U, S, A, B, eig, gt_m)`` gets the tuple.
     Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm,
     observed columns) to the terminal point, and factors.
     """

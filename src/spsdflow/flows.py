@@ -120,8 +120,8 @@ def scaled_inverse(S: np.ndarray) -> np.ndarray:
     return _scaled_from_eigh(*np.linalg.eigh(_finite("S", sym(np.asarray(S, dtype=float)))))[0]
 
 
-def _scaled_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The rescaled core map: :func:`scaled_inverse` and sigma_min(S) from S's ascending eigh.
+def _extension_guards(w: np.ndarray) -> None:
+    """Raise where the rescaled core map is undefined, from S's ascending eigenvalues w.
 
     Both errors need some |w_j|, j >= 1, at most TAU_GAP (>= TAU_RANK) times its run's
     max(1, max|w|), so one screen of the whole stack, with a factor 2 over rounding, proves
@@ -134,6 +134,11 @@ def _scaled_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndar
             raise ExtensionError("zero eigenvalue is not simple; no continuous extension")
         if (size[..., 1:] <= TAU_RANK).any():
             raise ExtensionError("a non-minimal eigenvalue vanishes; inverse undefined")
+
+
+def _scaled_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rescaled core map: :func:`scaled_inverse` and sigma_min(S) from S's ascending eigh."""
+    _extension_guards(w)
     ratios = np.ones_like(w)               # sigma_min / sigma_min, exact
     ratios[..., 1:] = w[..., :1] / w[..., 1:]
     return sym((P * ratios[..., None, :]) @ mT(P)), w[..., 0]
@@ -187,29 +192,59 @@ _PLAIN_SIGMA_FLOOR = 1e-14
 
 
 def _plain_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The plain core map: (S^-1, 1) from the ascending eigh (w, P) of S."""
-    if (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
-        raise SingularCoreError("core is numerically singular; switch to the rescaled system")
+    """The plain core map: (S^-1, 1) from S's ascending eigh (w, P); _core_map tests the floor."""
     return (P / w[..., None, :]) @ mT(P), np.ones(w.shape[:-1])
 
 
-def _raw(core_map, U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
+# Each system's core map from eigh, and whether its c is sigma_min (else 1).
+_SYSTEMS = {"dlra": (_plain_from_eigh, False), "rescaled": (_scaled_from_eigh, True)}
+# Cores with w[0] > _INTERIOR w[-1] (ascending w) take the core map from inv.  On seeded cores
+# below condition number 1e3 (r = 2-10) it differed from the eigen form by at most 4.4e-13
+# relative, and both from an extended-precision inverse by about the condition number times eps
+# (3e-10 at 1e6): the cut bounds that, and leaves singular and indefinite cores to the eigen form.
+_INTERIOR = 1e-3
+
+
+def _core_map(system: str, S: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(phi, c)`` of ``system`` at cores S of ascending spectrum w, after its guards on all w.
+
+    Interior runs (see _INTERIOR) take (c S^-1, c) from one stacked inv, the others the
+    system's eigen form on eigh; no run's bits depend on the others.
+    """
+    from_eigh, scaled = _SYSTEMS[system]
+    if scaled:
+        _extension_guards(w)
+    elif (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
+        raise SingularCoreError("core is numerically singular; switch to the rescaled system")
+    inner = w[..., 0] > _INTERIOR * w[..., -1]        # NaN is not interior
+    if not inner.any():
+        return from_eigh(*np.linalg.eigh(S))
+    c = w[..., 0].copy() if scaled else np.ones(w.shape[:-1])
+    if inner.all():
+        return np.linalg.inv(S) * c[..., None, None], c
+    phi = np.empty_like(S)
+    phi[inner] = np.linalg.inv(S[inner]) * c[inner, None, None]
+    phi[~inner], c[~inner] = from_eigh(*np.linalg.eigh(S[~inner]))
+    return phi, c
+
+
+def _raw(system: str, U: np.ndarray, S: np.ndarray, gt: GroundTruth, known: tuple | None = None
          ) -> tuple[np.ndarray, np.ndarray]:
     """Right-hand side dU = B phi, dS = (A - S) c on raw factors (stacks give stacks).
 
-    ``(phi, c) = core_map(w, P)`` from the ascending eigh of S.  ``known`` is the runner's
-    (A, B, w, P); without it the blocks come from :func:`factored_blocks`.
+    ``(phi, c)`` is :func:`_core_map` at S.  ``known`` is the runner's (A, B, w), w the ascending
+    eigenvalues of S; without it they come from :func:`factored_blocks` and ``eigvalsh``.
     """
     if known is None:
-        known = (*factored_blocks(U, gt)[:2], *np.linalg.eigh(S))
-    A, B, w, P = known
-    phi, c = core_map(w, P)
+        known = (*factored_blocks(U, gt)[:2], np.linalg.eigvalsh(S))
+    A, B, w = known
+    phi, c = _core_map(system, S, w)
     return B @ phi, (A - S) * c[..., None, None]
 
 
 def _raw_rescaled(U: np.ndarray, S: np.ndarray, gt: GroundTruth) -> tuple[np.ndarray, np.ndarray]:
     """The rescaled right-hand side on raw factors; S may be singular."""
-    return _raw(_scaled_from_eigh, U, S, gt)
+    return _raw("rescaled", U, S, gt)
 
 
 def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -218,7 +253,7 @@ def dlra_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     The reconstruction dU S U^T + U dS U^T + U S dU^T equals the negative
     projected gradient exactly.  Raises on a (numerically) singular core.
     """
-    return FlowDerivative(*_raw(_plain_from_eigh, state.point.U, state.point.S, gt))
+    return FlowDerivative(*_raw("dlra", state.point.U, state.point.S, gt))
 
 
 def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
@@ -230,12 +265,11 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     return FlowDerivative(*_raw_rescaled(state.point.U, state.point.S, gt))
 
 
-_SYSTEMS = {"dlra": _plain_from_eigh, "rescaled": _scaled_from_eigh}
-
-
 def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
     """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
-    drift = orth_defect(U)
+    # a U whose U^T U overflows drifts by inf or NaN, which rejects its step: no numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        drift = orth_defect(U)
     redo = drift > tol
     if redo.any():
         redo = ... if redo.all() else redo    # the whole stack: no gather and scatter
@@ -270,7 +304,6 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
     if system not in _SYSTEMS:
         raise ValueError(f"unknown system {system!r}")
     _real("t_end", t_end, zero=True)
-    core_map = _SYSTEMS[system]
     ctl = controls or StepControls()
 
     def stop(t, dist, sigma, grad):
@@ -280,10 +313,10 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
 
     def advance(t, U, S, A, B, eig, gt_m):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = _raw(core_map, U, S, gt_m, (A, B, *eig))  # the runner's blocks and eigh
-        kU2, kS2 = _raw(core_map, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
-        kU3, kS3 = _raw(core_map, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
-        kU4, kS4 = _raw(core_map, U + h * kU3, S + h * kS3, gt_m)
+        kU1, kS1 = _raw(system, U, S, gt_m, (A, B, *eig))  # the runner's blocks and spectrum
+        kU2, kS2 = _raw(system, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
+        kU3, kS3 = _raw(system, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
+        kU4, kS4 = _raw(system, U + h * kU3, S + h * kS3, gt_m)
         U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
         # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
         S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
@@ -293,7 +326,8 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
                                 "reduce dt")
         return t + h, U, S
 
-    return _runner.run_blocks(count, build, gt, np.linalg.eigh, stop, advance, observe)
+    return _runner.run_blocks(count, build, gt, lambda S: (np.linalg.eigvalsh(S),), stop,
+                              advance, observe)
 
 
 @dataclass

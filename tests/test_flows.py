@@ -1,11 +1,13 @@
 import itertools
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
-from spsdflow import _runner, flows, rgd
+from spsdflow import _runner, flows, rgd, spurious
 from spsdflow.experiments import _random_point
 from spsdflow.flows import (
     EigenGapError,
@@ -244,6 +246,82 @@ def test_screened_core_map_at_rank_one_and_nan(w):
     assert _outcome(flows._scaled_from_eigh, w, P) == want
 
 
+def _spd_stack(rng, r, log_cond):
+    """SPD cores of condition number 10**log_cond[i] each, at scales 2**-20 to 2**20."""
+    Q = np.stack([sf.haar_orthonormal(rng, r, r) for _ in log_cond])
+    frac = rng.uniform(0.0, 1.0, (len(log_cond), r))
+    frac[:, :2] = (1.0, 0.0)                      # the smallest and the largest eigenvalue
+    w = 2.0 ** rng.integers(-20, 21, (len(log_cond), 1)) * 10.0 ** (-log_cond[:, None] * frac)
+    return sym((Q * w[:, None, :]) @ mT(Q))
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_interior_core_map_agrees_with_the_eigen_form(monkeypatch, system):
+    # on SPD cores of condition number up to just below 1 / _INTERIOR, one stacked inv gives
+    # (phi, c) within 1e-12 relative of the eigen form on eigh (measured: at most 4.4e-13 over
+    # r = 2-10 at condition number 1e3, and 3.0e-13 over 8 seeds of this draw), with no eigh
+    rng = np.random.default_rng(21)
+    from_eigh = flows._SYSTEMS[system][0]
+    for r in (2, 3, 5, 10):
+        S = _spd_stack(rng, r, rng.uniform(1.0, np.log10(0.99 / flows._INTERIOR), 200))
+        w = np.linalg.eigvalsh(S)
+        assert np.all(w[:, 0] > flows._INTERIOR * w[:, -1])
+        ref_phi, ref_c = from_eigh(*np.linalg.eigh(S))
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigh", None)
+            phi, c = flows._core_map(system, S, w)
+        assert np.all(np.linalg.norm(phi - ref_phi, axis=(1, 2))
+                      <= 1e-12 * np.linalg.norm(ref_phi, axis=(1, 2)))
+        assert np.all(np.abs(c - ref_c) <= 1e-12 * ref_c)
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_core_map_gives_each_run_its_bits_from_a_batch_of_one(system):
+    # runs on both sides of the interior rule, the cut's two sides among them (and, for the
+    # rescaled map, a singular and an indefinite core), each get their batch of one's bits
+    rng = np.random.default_rng(22)
+    log_cond = np.log10([10.0, 0.99 / flows._INTERIOR, 1.01 / flows._INTERIOR, 1e6, 3.0])
+    S = _spd_stack(rng, 4, log_cond)
+    if system == "rescaled":
+        P = sf.haar_orthonormal(rng, 4, 4)
+        S = np.concatenate([S, sym((P * [[0.0, 1.0, 2.0, 3.0]]) @ P.T)[None],
+                            sym((P * [[-0.5, 1.0, 2.0, 3.0]]) @ P.T)[None]])
+    w = np.linalg.eigvalsh(S)
+    inner = w[:, 0] > flows._INTERIOR * w[:, -1]
+    assert inner.tolist() == [True, True, False, False, True] + [False] * (len(S) - 5)
+    U = np.stack([sf.haar_orthonormal(rng, 8, 4) for _ in S])
+    gt = sf.make_ground_truth(8, 4, [4, 3, 2, 1], seed=3)
+    phi, c = flows._core_map(system, S, w)
+    dU, dS = flows._raw(system, U, S, gt)
+    for i in range(len(S)):
+        for j in (i, slice(i, i + 1)):          # a bare matrix and a stack of one
+            one = flows._core_map(system, S[j], w[j])
+            assert one[0].tobytes() == phi[i].tobytes() and one[1].tobytes() == c[i].tobytes()
+            one = flows._raw(system, U[j], S[j], gt)
+            assert one[0].tobytes() == dU[i].tobytes() and one[1].tobytes() == dS[i].tobytes()
+
+
+@pytest.mark.parametrize("system, w, error", [
+    ("rescaled", [1e-13, 2e-13, 5e-13], "zero eigenvalue is not simple"),
+    ("dlra", [5e-15, 1e-14, 2e-14], "numerically singular"),
+])
+def test_interior_cores_keep_their_guards(system, w, error):
+    # a tiny core can pass the scale-free interior rule and fail a guard with an absolute
+    # floor; the guards read the whole stack's spectrum before the branch, so it raises as
+    # on the eigen form, alone and beside a core that passes
+    P = sf.haar_orthonormal(np.random.default_rng(23), 3, 3)
+    bad = sym((P * [w]) @ P.T)
+    S = np.stack([bad, sym((P * [[1.0, 2.0, 3.0]]) @ P.T)])
+    for cores in (bad, S, S[::-1]):
+        ws = np.linalg.eigvalsh(cores)
+        assert np.all(ws[..., 0] > flows._INTERIOR * ws[..., -1])
+        with pytest.raises((ExtensionError, SingularCoreError), match=error):
+            flows._core_map(system, cores, ws)
+    if system == "rescaled":
+        with pytest.raises(ExtensionError, match=error):
+            flows._scaled_from_eigh(*np.linalg.eigh(bad))
+
+
 def test_gradient_of_scaled_inverse_boundary_cases():
     gt = small_instance(7)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 4)
@@ -321,32 +399,36 @@ def test_first_stop_rule_that_holds_wins(system):
     assert (res.status, len(res.records)) == ("converged", 1)
 
 
-@pytest.mark.parametrize("system", ["dlra", "rescaled"])
-def test_flow_step_decomposes_each_core_once(monkeypatch, system):
-    # the runner's eigh and factored_blocks of each logged core give sigma_r and, in
-    # stage 1, the right-hand side; stages 2-4 take one eigh and one factored_blocks
-    # each (4 of each per step); states wait until read
-    gt = small_instance(11)
-    rng = np.random.default_rng(3)
-    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
-    calls = {"eigh": 0, "eigvalsh": 0, "FactoredPoint": 0, "factored_blocks": 0}
-
+def _count_calls(monkeypatch, calls):
+    """Count calls, by name, of each numpy.linalg function and library hook named in ``calls``."""
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigh", counted("eigh", np.linalg.eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for name in ("eigh", "eigvalsh", "inv"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     monkeypatch.setattr(sf.FactoredPoint, "__post_init__",
                         counted("FactoredPoint", sf.FactoredPoint.__post_init__))
     monkeypatch.setattr(_runner, "factored_blocks", counted("factored_blocks", factored_blocks))
     monkeypatch.setattr(flows, "factored_blocks", counted("factored_blocks", factored_blocks))
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+def test_flow_step_decomposes_each_core_once(monkeypatch, system):
+    # the runner's eigvalsh and factored_blocks of each logged core give sigma_r and, in
+    # stage 1, the right-hand side; stages 2-4 take one eigvalsh and one factored_blocks
+    # each, and every stage of an interior core one inv and no eigh; states wait until read
+    gt = small_instance(11)
+    rng = np.random.default_rng(3)
+    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 0.6]))
+    calls = dict.fromkeys(("eigh", "eigvalsh", "inv", "FactoredPoint", "factored_blocks"), 0)
+    _count_calls(monkeypatch, calls)
     res = sf.integrate(system, init, gt, 0.5, sf.StepControls(dt=0.05))
     steps = len(res.records) - 1
     assert steps == 10
-    assert calls == {"eigh": 4 * steps + 1, "eigvalsh": 0, "FactoredPoint": 0,
+    assert calls == {"eigh": 0, "eigvalsh": 4 * steps + 1, "inv": 4 * steps, "FactoredPoint": 0,
                      "factored_blocks": 4 * steps + 1}
     states = res.states
     assert calls["FactoredPoint"] == steps and res.states is states
@@ -355,6 +437,23 @@ def test_flow_step_decomposes_each_core_once(monkeypatch, system):
         assert st.t == res.records[k, 0]
         dense = frob(st.point.dense() - gt.dense())
         assert abs(dense - res.records[k, 1]) <= 1e-12 * frob(gt.dense())
+
+
+def test_near_boundary_flow_steps_take_eigh_and_no_inv(monkeypatch):
+    # rescaled runs from escape starts at radius 1e-6 ||Z_sp||_F keep cores far outside the
+    # interior rule over the horizon: every stage takes the eigen form on eigh
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=7)
+    sp = sf.spurious_point(gt, [True, True, False])
+    starts = spurious._escape_starts(sp, gt, 1e-6 * np.hypot(*sp.d_kept), list(range(4)))
+    calls = dict.fromkeys(("eigh", "eigvalsh", "inv", "FactoredPoint", "factored_blocks"), 0)
+    _count_calls(monkeypatch, calls)
+    runs = list(_integrate_batch("rescaled", 4, lambda lo, hi: starts, gt, 0.1,
+                                 sf.StepControls(dt=0.02)))
+    steps = 5
+    assert [(status, len(records)) for status, records, _, _ in runs] == [("t_end", steps + 1)] * 4
+    assert all(np.all(records[:, 2] < 1e-2 * flows._INTERIOR) for _, records, _, _ in runs)
+    assert calls == {"eigh": 4 * steps, "eigvalsh": 4 * steps + 1, "inv": 0, "FactoredPoint": 0,
+                     "factored_blocks": 4 * steps + 1}
 
 
 def test_integrate_converges_from_generic_start():
@@ -396,6 +495,22 @@ def test_integrate_rejects_oversized_steps():
     init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.4, 1.1, 0.02]))
     with pytest.raises((StepSizeError, SingularCoreError)):
         sf.integrate("dlra", init, gt, 5.0, sf.StepControls(dt=0.3))
+
+
+@pytest.mark.parametrize("epsilon, drift", [(1e-8, "inf"), (1e-4, "2.92e+44"), (1e-5, "4.03e+87")])
+def test_plain_flow_from_an_escape_start_fails_its_step_without_a_warning(epsilon, drift):
+    # the plain flow's first step from a start near a rank-deficit-one point blows U up until
+    # U^T U overflows: the step fails on its drift (inf or huge) with no numpy warning on the
+    # way, so the error class does not depend on the caller's warnings filter
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=7)
+    sp = sf.spurious_point(gt, [True, True, False])
+    tup = sf.sample_spurious_tuple(sp, gt, 0)
+    start = sf.perturb_near(tup, epsilon * np.hypot(*sp.d_kept), seed=1000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError,
+                           match=re.escape(f"orthonormality drift {drift} at t=0.01;")):
+            sf.integrate("dlra", start, gt, 1.0, sf.StepControls(dt=1e-2))
 
 
 def test_integrate_gronwall_bounds():
@@ -479,6 +594,35 @@ def test_batched_flows_equal_single_flows_bitwise(monkeypatch, system, statuses)
             assert np.array_equal(records, ref.records)
             assert np.array_equal(U, ref.states[-1].point.U)
             assert np.array_equal(S, ref.states[-1].point.S)
+
+
+@pytest.mark.parametrize("system", ["dlra", "rescaled"])
+@pytest.mark.parametrize("k", [-30, 30])
+def test_flows_are_scale_equivariant_bitwise(system, k):
+    # X -> c X and S_0 -> c S_0, c = 2**k, with the rescaled flow's dt and t_end over c: every
+    # run keeps its status and row count, its times scale by 1 (plain) or 1/c (rescaled), and
+    # dist, sigma_r and grad_norm by c, bit for bit.  The interior rule has no absolute floor:
+    # random starts take inv, and a start of condition number 1200 near X takes eigh (the
+    # plain flow for one step, the rescaled for 19); its sigma_r c stays above the absolute
+    # SIGMA_FLOOR and TAU_RANK at k = -30
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=7)
+    rng = np.random.default_rng(0)
+    starts = [_random_point(gt, seed) for seed in range(3)]
+    U = np.linalg.qr(gt.U + 1e-6 * rng.standard_normal((30, 3)))[0]
+    starts.append(sf.FactoredPoint(U, np.diag([3.0, 2.0, 2.5e-3])))
+    dt, t_end = 0.01, 0.2
+    c = 2.0 ** k
+    time = 1.0 if system == "dlra" else 1.0 / c
+    scaled = [sf.FactoredPoint(p.U, c * p.S) for p in starts]
+    runs = [list(_integrate_batch(system, *batch_of(points), target, span * t_end,
+                                  sf.StepControls(dt=span * dt)))
+            for points, target, span in ((starts, gt, 1.0),
+                                         (scaled, sf.GroundTruth(gt.U, c * gt.d), time))]
+    assert {len(records) for _, records, _, _ in runs[0]} == {21}
+    for (ref_status, ref, _, _), (status, records, _, _) in zip(*runs, strict=True):
+        assert status == ref_status == "t_end" and records.shape == ref.shape
+        assert np.array_equal(records[:, 0], time * ref[:, 0])
+        assert np.array_equal(records[:, 1:], c * ref[:, 1:])
 
 
 @pytest.mark.parametrize("system", ["dlra", "rescaled"])
@@ -619,9 +763,9 @@ def test_flows_step_in_min_n_2r_rows_and_lift_their_factors(monkeypatch, system,
     stepped = []
     raw = flows._raw
 
-    def spy(core_map, U, *args):
+    def spy(system, U, *args):
         stepped.append(U.shape[-2])
-        return raw(core_map, U, *args)
+        return raw(system, U, *args)
 
     monkeypatch.setattr(flows, "_raw", spy)
     runs = list(_integrate_batch(system, *batch_of(starts), gt, 0.05, sf.StepControls(dt=0.01)))
