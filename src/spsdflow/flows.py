@@ -267,9 +267,7 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
 
 def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
     """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
-    # a U whose U^T U overflows drifts by inf or NaN, which rejects its step: no numpy warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        drift = orth_defect(U)
+    drift = orth_defect(U)
     redo = drift > tol
     if redo.any():
         redo = ... if redo.all() else redo    # the whole stack: no gather and scatter
@@ -313,14 +311,16 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
 
     def advance(t, U, S, A, B, eig, gt_m):
         h = min(ctl.dt, t_end - t)
-        kU1, kS1 = _raw(system, U, S, gt_m, (A, B, *eig))  # the runner's blocks and spectrum
-        kU2, kS2 = _raw(system, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
-        kU3, kS3 = _raw(system, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
-        kU4, kS4 = _raw(system, U + h * kU3, S + h * kS3, gt_m)
-        U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
-        # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
-        S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
-        drift = reorthonormalize(U, S, TAU_ORTH)
+        # a step that overflows leaves inf or NaN in U, whose drift rejects it: no numpy warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            kU1, kS1 = _raw(system, U, S, gt_m, (A, B, *eig))  # the runner's blocks, spectrum
+            kU2, kS2 = _raw(system, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
+            kU3, kS3 = _raw(system, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
+            kU4, kS4 = _raw(system, U + h * kU3, S + h * kS3, gt_m)
+            U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
+            # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
+            S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
+            drift = reorthonormalize(U, S, TAU_ORTH)
         if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")

@@ -297,6 +297,18 @@ def iteration_jacobian(tup: SpuriousTuple, gt: GroundTruth, alpha: float
     )
 
 
+def _direction_factors(frame: EigenFrame) -> tuple[np.ndarray, np.ndarray]:
+    """Tables (a, b), each (dim, n): coordinate k's ambient direction is a_k b_k^T + b_k a_k^T.
+
+    (u_i, u_i / 2) on M's diagonal, (u_i, u_j) above it, (u_i, p_j) on N: ``to_ambient``'s bits
+    except above M's diagonal, where its matmul may fuse one of two products into their sum.
+    """
+    i, j = np.triu_indices(frame.r, k=1)
+    Ut, Pt = frame.U.T, frame.U_perp.T
+    a = np.concatenate([Ut, Ut[i], np.repeat(Ut, len(Pt), axis=0)])
+    return a, np.concatenate([Ut / 2, Ut[j], np.tile(Pt, (frame.r, 1))])
+
+
 def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
                         eps: float = 1e-5, h: float = 1e-8) -> np.ndarray:
     """Finite-difference matrix of the iteration map near a boundary tuple.
@@ -307,30 +319,32 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
     and :func:`rgd_step`'s arithmetic, in stacks of ``dense_stack(n)``
     columns, and are expressed in the tangent coordinates of
     :func:`iteration_jacobian` (the eigen-frame that the tuple and Z(eps)
-    share).  Each stack's directions are built from its coordinate rows in
-    one call, and its differences are converted back to coordinates in one
-    call.  ``eps`` must be positive and finite.
+    share).  A stack's dense directions are outer products
+    (:func:`_direction_factors`), and a step returns the new point's frame
+    coordinates [M | N] = H[:, :r]^T S H, H = U^T [U_f, U_perp], which are
+    differenced.  ``eps`` must be positive and finite.
     """
     _real("eps", eps)
     frame = boundary_frame(tup)
     cfg = GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
+    F = np.hstack([frame.U, frame.U_perp])
     gt_m = None                           # the m-row target: the first stack builds it
 
-    def step_dense(W):
+    def step_coordinates(W):
         nonlocal gt_m
         U, S, _ = truncate(*np.linalg.eigh(W), tup.r)
         Phi, U, gt_m = _runner.compress(U, gt, gt_m)
         A, B, _ = factored_blocks(U, gt_m)
         U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
-        U = Phi @ U
-        return sym(U @ S @ mT(U))
+        H = mT(Phi @ U) @ F
+        return mT(H[..., :tup.r]) @ S @ H
 
-    basis = np.eye(manifold_dim(tup.n, tup.n, tup.r, hermitian=True))
+    a, b = _direction_factors(frame)
     size = _runner.dense_stack(tup.n)
     cols = []
-    for lo in range(0, len(basis), size):
-        directions = _from_coordinates(frame, basis[lo:lo + size]).to_ambient()
-        diff = fd_directional(step_dense, Z0, directions, h)
-        cols.append(tangent_coordinates(TangentParam.from_ambient(frame, diff)))
+    for lo in range(0, len(a), size):
+        D = a[lo:lo + size, :, None] * b[lo:lo + size, None, :]
+        diff = fd_directional(step_coordinates, Z0, D + mT(D), h)
+        cols.append(tangent_coordinates(TangentParam(diff[..., :tup.r], diff[..., tup.r:], frame)))
     return np.concatenate(cols).T

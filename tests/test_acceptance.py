@@ -16,6 +16,7 @@ import numpy as np
 
 import spsdflow as sf
 from spsdflow.experiments import ExperimentConfig
+from spsdflow import flows, spurious
 from spsdflow.flows import _raw_rescaled
 from spsdflow.manifold import frob, sym
 
@@ -465,3 +466,48 @@ def test_criterion_14_escape_time_law():
     assert abs(ratio - 1.0) <= 0.03
     # the fixed-step iteration counts do not grow with 1/epsilon, within one step
     assert spread <= 1
+
+
+# --------------------------------------------------------------- criterion 15
+
+def test_criterion_15_rescaled_flow_escape_time_law():
+    """Escape time of the rescaled flow against the start's distance from a rank-deficit-one point.
+
+    At the boundary the rescaled flow's Jacobian has one positive eigenvalue, d_miss (criterion
+    06), so a start epsilon away needs a time that grows like ln(1/epsilon) / d_miss to escape:
+    the first logged t with ||Z - X||_F below d_miss / 2.  Ten runs per epsilon, as one batch,
+    from the escape scenarios' starts.  Over master seeds 0, 1000, ..., 19000 the slope of the
+    median escape times in ln(1/epsilon) over the predicted one ran from 0.9976 to 0.9993, and
+    every run escaped by t = 24.7, so t_end = 30 leaves room.  A one-step (dt) move of an end
+    median moves the ratio by 0.13%, and the tolerance of 1% leaves room for about six such
+    moves.
+    """
+    eps = np.array([1e-2, 1e-4, 1e-6, 1e-8])
+    runs = 10
+    gt = sf.make_ground_truth(30, 3, [3, 2, 1], seed=7)
+    sp = sf.spurious_point(gt, [True, True, False])
+    d_miss = float(sp.d_miss[0])
+    seeds = list(range(runs))
+    starts = [spurious._escape_starts(sp, gt, e * np.hypot(*sp.d_kept), seeds) for e in eps]
+    U = np.concatenate([u for u, _ in starts])
+    S = np.concatenate([s for _, s in starts])
+    out = flows._integrate_batch("rescaled", len(U), lambda lo, hi: (U[lo:hi], S[lo:hi]), gt,
+                                 30.0, sf.StepControls(dt=2e-2))
+    times = np.full(len(U), np.nan)
+    for k, (_, records, _, _) in enumerate(out):
+        escaped = records[:, 1] < d_miss / 2
+        if escaped.any():
+            times[k] = records[np.argmax(escaped), 0]
+    times = times.reshape(len(eps), runs)
+    tup = sf.sample_spurious_tuple(sp, gt, 0)
+    predicted = 1.0 / sf.rescaled_jacobian(tup, gt).spectrum().escape_eigenvalue
+    escaped = int(np.isfinite(times).sum())
+    medians = np.median(times, axis=1)
+    slope = np.polyfit(np.log(1.0 / eps), medians, 1)[0]
+    ratio = slope / predicted
+    ok = escaped == times.size and abs(ratio - 1.0) <= 0.01
+    _report(15, ok, "rescaled-flow escape time grows like ln(1/epsilon) / d_miss",
+            f"{escaped}/{times.size} escaped; medians {np.round(medians, 2).tolist()}, slope "
+            f"{slope:.4f} / predicted {predicted:.4f} = {ratio:.4f}")
+    assert escaped == times.size
+    assert abs(ratio - 1.0) <= 0.01

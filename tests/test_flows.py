@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 import spsdflow as sf
 from spsdflow import _runner, flows, rgd, spurious
-from spsdflow.experiments import _random_point
+from spsdflow.experiments import ExperimentConfig, _random_point
 from spsdflow.flows import (
     EigenGapError,
     ExtensionError,
@@ -511,6 +511,17 @@ def test_plain_flow_from_an_escape_start_fails_its_step_without_a_warning(epsilo
         with pytest.raises(StepSizeError,
                            match=re.escape(f"orthonormality drift {drift} at t=0.01;")):
             sf.integrate("dlra", start, gt, 1.0, sf.StepControls(dt=1e-2))
+
+
+def test_rescaled_flow_that_overflows_fails_its_step_without_a_warning():
+    # a target eigenvalue of 1e150 blows U up in the first RK4 step until its blocks overflow:
+    # the step fails on its NaN drift with no numpy warning on the way, under any warnings filter
+    cfg = ExperimentConfig(scenario="flow_rescaled", n=8, r=2, eigenvalues=(1e150, 1.0),
+                           repeats=2, t_end=0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepSizeError, match=re.escape("orthonormality drift nan at t=0.01;")):
+            sf.run_experiment(cfg)
 
 
 def test_integrate_gronwall_bounds():

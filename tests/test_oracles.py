@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -156,6 +158,24 @@ def test_sin_theta_rejects_dimensions_that_are_not_integers_in_range(k):
 def test_sin_theta_accepts_python_and_numpy_ints(k):
     rep = sf.sin_theta_check(np.diag([3.0, 2.0, 1.0]), np.zeros((3, 3)), k)
     assert rep.delta == 1.0 and rep.holds
+
+
+def test_sin_theta_call_budget(monkeypatch):
+    # one stacked eigh of (A, B); one svd for the principal angles and one for ||R||_2
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(a, *args, **kwargs):
+            calls[name, a.shape] += 1
+            return fn(a, *args, **kwargs)
+        return wrapper
+    for name in ("eigh", "eigvalsh", "svd", "qr"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+    rng = np.random.default_rng(3)
+    A = np.diag([4.0, 3.5, 3.0, 1.0, 0.5, 0.0])
+    rep = sf.sin_theta_check(A, 0.1 * sym(rng.standard_normal((6, 6))), 3)
+    assert rep.holds
+    assert calls == Counter({("eigh", (2, 6, 6)): 1, ("svd", (3, 3)): 1, ("svd", (6, 3)): 1})
 
 
 def test_sin_theta_random_sweep():

@@ -586,7 +586,32 @@ def test_iteration_jacobian_matches_fd_and_resolves_constant():
 
 
 def _fd_by_column(tup, gt, alpha, eps=1e-5, h=1e-8):
-    """fd_iteration_matrix one tangent column at a time, through the public retract and rgd_step."""
+    """fd_iteration_matrix one tangent column at a time, through the public retract and rgd_step.
+
+    Each step returns the new point's frame coordinates [M | N] = H[:, :r]^T S H with
+    H = U^T [U_f, U_perp], and those are differenced.
+    """
+    frame = sf.boundary_frame(tup)
+    F = np.hstack([frame.U, frame.U_perp])
+    cfg = sf.GDConfig(alpha=alpha, mode="varying", max_iters=1)
+    Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
+
+    def step_coordinates(W):
+        point = sf.rgd_step(sf.retract(W, tup.r).point, gt, cfg).point
+        H = point.U.T @ F
+        return H[:, :tup.r].T @ point.S @ H
+
+    cols = []
+    for xi in sf.tangent_coordinate_basis(frame):
+        d = xi.to_ambient()
+        diff = (step_coordinates(Z0 + h * d) - step_coordinates(Z0 - h * d)) / (2.0 * h)
+        xi = sf.TangentParam(diff[:, :tup.r], diff[:, tup.r:], frame)
+        cols.append(sf.tangent_coordinates(xi))
+    return np.array(cols).T
+
+
+def _fd_dense_difference(tup, gt, alpha, eps=1e-5, h=1e-8):
+    """The reference formula: central differences of the dense next point, then its coordinates."""
     frame = sf.boundary_frame(tup)
     cfg = sf.GDConfig(alpha=alpha, mode="varying", max_iters=1)
     Z0 = sym(tup.U @ (tup.S + eps * np.eye(tup.r)) @ tup.U.T)
@@ -631,6 +656,36 @@ def test_fd_iteration_matrix_equals_column_loop_bitwise(monkeypatch, n, r):
         fd = sf.fd_iteration_matrix(tup, gt, 0.7)
         assert fd.shape == ref.shape and fd.tobytes() == ref.tobytes()
         assert calls["eigh", n] == 2 * -(-len(fd) // m)     # a dense eigh per stack and side
+
+
+@pytest.mark.parametrize("n, r", [(8, 3), (40, 5)])
+def test_fd_directions_are_the_coordinate_basis(n, r):
+    # a_k b_k^T + b_k a_k^T has to_ambient's bits wherever that adds one nonzero product: on the
+    # diagonal of M and on N; above M's diagonal it adds two, and BLAS may fuse one of them
+    # into the sum, so there the two agree to one rounding of |a_x b_y| + |b_x a_y|
+    gt = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=21)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
+    frame = sf.boundary_frame(tup)
+    a, b = rgd._direction_factors(frame)
+    ref = rgd._from_coordinates(frame, np.eye(len(a))).to_ambient()
+    ab = a[:, :, None] * b[:, None, :]
+    D = ab + ab.swapaxes(1, 2)
+    m = r * (r + 1) // 2
+    for rows in (slice(0, r), slice(m, None)):
+        assert D[rows].tobytes() == ref[rows].tobytes()
+    size = np.abs(ab) + np.abs(ab.swapaxes(1, 2))
+    assert np.all(np.abs(D[r:m] - ref[r:m]) <= np.finfo(float).eps * size[r:m])
+
+
+@pytest.mark.parametrize("n, r, seed", [(8, 3, 21), (8, 3, 22), (20, 4, 21), (40, 5, 21)])
+def test_fd_iteration_matrix_agrees_with_dense_differences(n, r, seed):
+    # differencing frame coordinates instead of the dense next point changes only the rounding
+    # of the differences; measured over seeds 21-26 (21-23 at n = 40): at most 1.7e-7 at n = 8,
+    # 3.2e-7 at n = 20 and 4.6e-7 at n = 40
+    gt = sf.make_ground_truth(n, r, list(range(r + 1, 1, -1)), seed=seed)
+    tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True] * (r - 1) + [False]), gt, 2)
+    fd = sf.fd_iteration_matrix(tup, gt, 0.7)
+    assert np.max(np.abs(fd - _fd_dense_difference(tup, gt, 0.7))) <= 1e-6
 
 
 @pytest.mark.parametrize("entries, s", [(None, 1), (5 * 8**2, 5), (8**2, 21)])
