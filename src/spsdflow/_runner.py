@@ -40,8 +40,8 @@ def compress(U: np.ndarray, gt: GroundTruth, gt_m: GroundTruth | None = None
     return Phi, T[..., gt.r:], GroundTruth(T[0, :, :gt.r], gt.d) if gt_m is None else gt_m
 
 
-def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, stop: Callable,
-               advance: Callable, observe: Callable | None) -> Iterator[tuple]:
+def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable, advance: Callable,
+               observe: Callable | None) -> Iterator[tuple]:
     """Step the runs from ``count`` starts as stacked factors: the runner of descent and flows.
 
     Runs go in blocks of ``cap = BLOCK_ENTRIES // (n r)``, a tail of at most ``cap / 2`` joining
@@ -53,9 +53,9 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
     point ``observe(x, ids, U, S)`` sees every live run (``ids`` among all starts), terminal ones
     too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
     or at none.  Then a run ends at the first (mask, status) of ``stop`` whose mask holds; the
-    rest go on by ``advance``.  ``core`` is the one decomposition of each logged core S as a
-    tuple, for descent and both flows ``(w,)``, its ascending eigenvalues with ``eigvalsh``'s
-    bits: sigma_r is logged from w, and ``advance(x, U, S, A, B, eig, gt_m)`` gets the tuple.
+    rest go on by ``advance(x, U, S, A, B, w, gt_m)``, w the ascending eigenvalues of each core
+    S, which returns the next (x, U, S, w): w is ``eigvalsh`` of S at a block's first point, and
+    then the spectrum that each step gives its cores.  sigma_r is logged from w.
     Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm,
     observed columns) to the terminal point, and factors.
     """
@@ -70,11 +70,11 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
         ends = {}
         log = []                          # rows (id, x, dist, sigma, grad, *observed) per point
         x = 0
+        w = np.linalg.eigvalsh(S)
         while True:
             A, B, C = factored_blocks(U, gt_m)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
-            eig = core(S)
-            sigma = eig[0][:, 0]
+            sigma = w[:, 0]
             extra = [] if observe is None else observe(x, ids, Phi @ U, S) or []
             row = np.empty((ids.size, 5 + len(extra)))
             for k, column in enumerate((ids, x, dist, sigma, grad, *extra)):
@@ -91,8 +91,8 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, core: Callable, sto
             if done is not None:          # only then: the filter copies every per-run array
                 if done.all():
                     break
-                ids, U, S, A, B, Phi, *eig = (v[~done] for v in (ids, U, S, A, B, Phi, *eig))
-            x, U, S = advance(x, U, S, A, B, eig, gt_m)
+                ids, U, S, A, B, Phi, w = (v[~done] for v in (ids, U, S, A, B, Phi, w))
+            x, U, S, w = advance(x, U, S, A, B, w, gt_m)
         rows = np.concatenate(log)
         rows = rows[np.argsort(rows[:, 0], kind="stable")]      # by run, each in step order
         runs = np.split(rows[:, 1:], np.flatnonzero(np.diff(rows[:, 0])) + 1)

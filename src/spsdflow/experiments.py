@@ -124,12 +124,16 @@ class ExperimentConfig:
         # a start lies within 2 epsilon ||Z_sp||_F of the spurious point (perturb_near), which
         # lies ||d_miss|| from the target; the logged distance is a square root of sums of squares
         kept, miss = np.split(d, [self.r - deficit])
-        far = 2 * self.epsilon * math.hypot(*kept) + math.hypot(*miss)
+        d_miss = math.hypot(*miss)
+        far = 2 * self.epsilon * math.hypot(*kept) + d_miss
         if deficit and not far < np.sqrt(np.finfo(float).max):
             raise ValueError(f"epsilon = {self.epsilon:.3g} is too large: a start may lie up to "
                              f"2 epsilon ||Z_sp||_F + ||d_miss|| = {far:.3g} from the target, "
                              "and that distance's square overflows")
         _gd_config(self)                  # stepsize and iteration controls
+        if deficit and not self.tol_dist < d_miss:   # else the spurious point counts as converged
+            raise ValueError(f"tol_dist = {self.tol_dist:.3g} must be below the spurious point's "
+                             f"distance to the target, ||d_miss|| = {d_miss:.3g}")
         StepControls(dt=self.dt)
         steps = self.t_end / self.dt      # ceil(steps) > max_iters exactly when steps > max_iters
         if self.scenario in _FLOW_SYSTEM and steps > self.max_iters:

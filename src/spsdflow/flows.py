@@ -309,11 +309,11 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
                 (ctl.tau_conv > 0 and grad < ctl.tau_conv, "converged"),   # else never holds
                 (system == "dlra" and sigma < SIGMA_FLOOR, "sigma_floor")]
 
-    def advance(t, U, S, A, B, eig, gt_m):
+    def advance(t, U, S, A, B, w, gt_m):
         h = min(ctl.dt, t_end - t)
         # a step that overflows leaves inf or NaN in U, whose drift rejects it: no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
-            kU1, kS1 = _raw(system, U, S, gt_m, (A, B, *eig))  # the runner's blocks, spectrum
+            kU1, kS1 = _raw(system, U, S, gt_m, (A, B, w))  # the runner's blocks, spectrum
             kU2, kS2 = _raw(system, U + 0.5 * h * kU1, S + 0.5 * h * kS1, gt_m)
             kU3, kS3 = _raw(system, U + 0.5 * h * kU2, S + 0.5 * h * kS2, gt_m)
             kU4, kS4 = _raw(system, U + h * kU3, S + h * kS3, gt_m)
@@ -324,10 +324,9 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")
-        return t + h, U, S
+        return t + h, U, S, np.linalg.eigvalsh(S)
 
-    return _runner.run_blocks(count, build, gt, lambda S: (np.linalg.eigvalsh(S),), stop,
-                              advance, observe)
+    return _runner.run_blocks(count, build, gt, stop, advance, observe)
 
 
 @dataclass

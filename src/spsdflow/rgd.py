@@ -81,44 +81,22 @@ def _stepsizes(cfg: GDConfig, sigma: np.ndarray) -> np.ndarray:
     return np.full(sigma.shape, cfg.alpha)
 
 
-# Diagonal magnitudes of a core between which LAPACK's eigvalsh (dsyevd) neither scales it
-# (below about 1.5e-146 or above 7e145) nor rotates an exactly diagonal one: there it returns
-# the sorted diagonal bit for bit (tests/test_rgd.py pins that).  Zero entries are outside, so
-# no sort order of +0.0 and -0.0 matters.
-_DIAGONAL_RANGE = (1e-140, 1e140)
-
-
-def _core_spectrum(S: np.ndarray) -> tuple[np.ndarray]:
-    """(w,): the ascending eigenvalues of each core of a stack, as ``eigvalsh`` gives them.
-
-    ``truncate`` leaves every descent core exactly diagonal.  When every core of the stack is,
-    with every diagonal magnitude inside ``_DIAGONAL_RANGE``, w is the sorted diagonal;
-    anything else (a non-diagonal start, NaN) goes to ``eigvalsh``.
-    """
-    r = S.shape[-1]
-    flat = S.reshape(-1, r * r)
-    diag = flat[:, ::r + 1]
-    size = np.abs(diag)
-    lo, hi = _DIAGONAL_RANGE
-    # with no zero on the diagonal, a core is diagonal iff its nonzeros are its diagonal
-    if lo <= size.min() and size.max() <= hi and np.count_nonzero(flat) == diag.size:
-        return (np.sort(diag, axis=-1),)
-    return (np.linalg.eigvalsh(S),)
-
-
 def _step(U: np.ndarray, S: np.ndarray, A: np.ndarray, B: np.ndarray,
-          stepsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+          stepsize: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One retracted descent step for a stack of runs, from precomputed blocks.
 
     ``U`` and ``B`` are (R, m, r) in a run's m-row basis (:func:`spsdflow._runner.compress`),
     ``S`` and ``A`` (R, r, r), ``stepsize`` (R,).  There the shifted matrix
     Z - a * grad = U (S - a (S - A)) U^T + a (U B^T + B U^T) is m x m, and the retraction
     truncates one batched ``eigh`` of it, whose result for a run does not depend on the others.
-    Returns the new factors and each run's rank-deficiency flag.
+    Returns the new factors, each run's rank-deficiency flag and the new cores' ascending
+    eigenvalues: the values that ``truncate`` puts on their diagonals.
     """
     a = stepsize[:, None, None]
     M = U @ (S - a * (S - A)) @ mT(U) + a * (U @ mT(B) + B @ mT(U))
-    return truncate(*np.linalg.eigh(M), S.shape[-1])
+    w, V = np.linalg.eigh(M)
+    r = S.shape[-1]
+    return (*truncate(w, V, r), np.maximum(w[..., -r:], 0.0))
 
 
 def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RetractionResult:
@@ -131,7 +109,7 @@ def rgd_step(point: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> Retraction
     S = point.S[None]
     A, B, _ = factored_blocks(U, gt_m)
     sigma = np.linalg.eigvalsh(S)[:, 0] if cfg.mode == "varying" else np.zeros(1)
-    U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, sigma))
+    U, S, deficient, _ = _step(U, S, A, B, _stepsizes(cfg, sigma))
     return RetractionResult(FactoredPoint(Phi[0] @ U[0], S[0]), bool(deficient[0]))
 
 
@@ -185,13 +163,13 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
         return [(dist < cfg.tol_dist, "converged_to_X"), (spurious, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
-    def advance(k, U, S, A, B, eig, _):
-        U, S, deficient = _step(U, S, A, B, _stepsizes(cfg, eig[0][:, 0]))
+    def advance(k, U, S, A, B, w, _):
+        U, S, deficient, w = _step(U, S, A, B, _stepsizes(cfg, w[:, 0]))
         if deficient.any():
             raise RankDropError(f"iterate left the manifold at step {k}")
-        return k + 1, U, S
+        return k + 1, U, S, w
 
-    runs = _runner.run_blocks(count, build, gt, _core_spectrum, stop, advance, observe)
+    runs = _runner.run_blocks(count, build, gt, stop, advance, observe)
     for status, rows, U, S in runs:
         yield RgdRun(rows[:-1], status, FactoredPoint(U, S), len(rows) - 1, *rows[-1, 1:4].tolist())
 
@@ -333,10 +311,11 @@ def fd_iteration_matrix(tup: SpuriousTuple, gt: GroundTruth, alpha: float,
 
     def step_coordinates(W):
         nonlocal gt_m
-        U, S, _ = truncate(*np.linalg.eigh(W), tup.r)
+        w, V = np.linalg.eigh(W)
+        U, S, _ = truncate(w, V, tup.r)
         Phi, U, gt_m = _runner.compress(U, gt, gt_m)
         A, B, _ = factored_blocks(U, gt_m)
-        U, S, _ = _step(U, S, A, B, _stepsizes(cfg, np.linalg.eigvalsh(S)[:, 0]))
+        U, S, _, _ = _step(U, S, A, B, _stepsizes(cfg, w[:, -tup.r]))   # S's least, unclamped
         H = mT(Phi @ U) @ F
         return mT(H[..., :tup.r]) @ S @ H
 

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import signal
 import subprocess
@@ -51,7 +52,8 @@ _positive = st.floats(min_value=1e-6, max_value=1e6)
 def valid_configs(draw):
     """Any valid configuration: every scenario, n - r >= 2 and r >= 3 (escape from deficit two).
 
-    A flow's t_end stays within max_iters steps of dt: ceil(t_end / dt) <= max_iters.
+    A flow's t_end stays within max_iters steps of dt: ceil(t_end / dt) <= max_iters.  An
+    escape's tol_dist lies below ||d_miss||, the norm of its deficit's least eigenvalues.
     """
     n = draw(st.integers(5, 40))
     r = draw(st.integers(3, n - 2))
@@ -59,12 +61,16 @@ def valid_configs(draw):
     scenario = draw(st.sampled_from(SCENARIOS))
     max_iters, dt = draw(st.integers(0, 10**6)), draw(_positive)
     flow = scenario in ("flow_dlra", "flow_rescaled")
+    deficit = experiments._ESCAPE_DEFICIT.get(scenario, 0)
+    d_miss = math.hypot(*sorted(eigenvalues or default_eigenvalues(r))[:deficit])
+    tol_dist = draw(st.floats(0.0, d_miss, exclude_min=True, exclude_max=True) if deficit
+                    else _positive)
     return ExperimentConfig(
         scenario=scenario, n=n, r=r,
         eigenvalues=eigenvalues, alpha=draw(_positive),
         mode=draw(st.sampled_from(["fixed", "varying"])), epsilon=draw(_positive),
         repeats=draw(st.integers(1, 1000)), max_iters=max_iters,
-        master_seed=draw(st.integers(0, 2**63)), tol_dist=draw(_positive),
+        master_seed=draw(st.integers(0, 2**63)), tol_dist=tol_dist,
         dt=dt, t_end=draw(st.floats(0.0, min(1e6, max_iters * dt * (1 - 1e-9)) if flow else 1e6)),
         out_dir=draw(st.none() | st.text(max_size=12)), workers=draw(st.integers(1, 64)))
 
@@ -84,6 +90,18 @@ def test_config_rejects_unknown_fields_and_bad_values():
         small_cfg(repeats=0)
     with pytest.raises(ValueError):
         small_cfg(epsilon=0.0)
+
+
+@pytest.mark.parametrize("scenario, d_miss", [("escape_s_r1", 1.0),
+                                             ("escape_s_r2", math.hypot(2.0, 1.0))])
+def test_escape_tol_dist_must_lie_below_the_distance_of_the_spurious_point(scenario, d_miss):
+    # the spurious point lies ||d_miss|| from the target: at a tol_dist not below that it
+    # would count as converged, and a run could stop without escaping
+    assert small_cfg(scenario=scenario, tol_dist=np.nextafter(d_miss, 0)).tol_dist < d_miss
+    for tol_dist in (d_miss, 10.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="tol_dist"):
+            small_cfg(scenario=scenario, tol_dist=tol_dist)
+    assert small_cfg(scenario="global_fixed", tol_dist=10.0).tol_dist == 10.0   # no saddle
 
 
 def test_example_scenario_pins_geometry():
@@ -303,10 +321,12 @@ def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     (["flow-rescaled", "--n", "8", "--r", "2", "--eigenvalues", "1e150,1", "--t-end", "0.5"],
      3, "runtime failure: orthonormality drift nan at t=0.01; reduce dt"),
     # a radius from the squared entries of Z_sp would underflow to 0 and fail as a runtime error
-    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
+    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201",
+      "--tol-dist", "1e-210"],
      2, "configuration error: no full-rank perturbation of radius 1e-202 found in 16 draws"),
     # and the message names both factors of that radius: epsilon, as its ratio to ||Z_sp||_F
-    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201"],
+    (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201",
+      "--tol-dist", "1e-210"],
      2, "epsilon is degenerate (radius 1e-202 = 0.01 ||Z_sp||_F, ||Z_sp||_F = 1e-200)"),
 ])
 def test_extreme_spectra_fail_with_their_cause_and_write_nothing(tmp_path, argv, code, message):
@@ -458,6 +478,8 @@ def test_cli_exit_codes(tmp_path):
     ["escape-s-r2", "--n", "8", "--r", "2"],
     # no full-rank start at this radius: every draw's r-th eigenvalue is under TAU_RANK
     ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "3", "--epsilon", "1e-12"],
+    # tol_dist = 1e-6 above ||d_miss|| = 1e-8: every run converged_to_X at the spurious point
+    ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "2e-8,1e-8"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2

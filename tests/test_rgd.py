@@ -350,10 +350,9 @@ def test_block_rule_lets_a_short_tail_join_the_last_block(monkeypatch, cap, coun
 @pytest.mark.parametrize("mode, scale", [("fixed", 1.0), ("varying", 1.0), ("fixed", 1e148)],
                          ids=["fixed", "varying", "fixed-1e148"])
 def test_descent_block_step_call_budget(monkeypatch, mode, scale):
-    # a block step is one eigh of the m x m step matrices, whatever the block size; sigma_r
-    # comes off the exactly diagonal cores, except at a scale that LAPACK's eigvalsh rescales,
-    # where one eigvalsh per logged point keeps its bits; a block adds one QR of [V, U_0],
-    # which compresses its runs to m = min(n, 2r) rows
+    # a block step is one eigh of the m x m step matrices, whatever the block size, and that
+    # eigh gives the next sigma_r at every scale; a block adds one eigvalsh of its start cores
+    # and one QR of [V, U_0], which compresses its runs to m = min(n, 2r) rows
     gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
     rng = np.random.default_rng(6)
     starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), scale * np.diag([2.5, 1.5, 0.6]))
@@ -379,60 +378,36 @@ def test_descent_block_step_call_budget(monkeypatch, mode, scale):
     cfg = sf.GDConfig(0.1, mode, max_iters=steps)
     runs = list(run_rgd_batch(*batch_of(starts), gt, cfg, observe))
     assert [run.iters for run in runs] == [steps] * 4          # one block, every run to the cap
-    assert calls == {"eigh": steps, "qr": 1, "eigvalsh": 0 if scale == 1.0 else steps + 1}
+    assert calls == {"eigh": steps, "qr": 1, "eigvalsh": 1}
     assert [k for k, _ in drifts] == list(range(steps + 1))
     assert drifts[0][1] > 3e-11                                # the start, lifted
     assert all(x <= 1e-14 for _, x in drifts[1:])
     assert orth_defect(sf.rgd_step(starts[1], gt, cfg).point.U) <= 1e-14
 
 
-def test_eigvalsh_of_an_exactly_diagonal_core_in_range_is_its_sorted_diagonal():
-    # the pin behind descent's sigma_r: a LAPACK that rotated or rescaled an exactly diagonal
-    # core whose largest entry lies in the range fails here instead of moving outputs
-    rng = np.random.default_rng(9)
-    lo, hi = rgd._DIAGONAL_RANGE
-    for r in range(1, 11):
-        for top in np.geomspace(lo, hi, 29):          # every 10 decades, both ends included
-            # entries over 14 decades below the largest, either sign, each core's largest = top
-            d = rng.choice([-1.0, 1.0], (50, r)) * top * 10.0 ** -rng.uniform(0, 14, (50, r))
-            d[np.arange(50), rng.integers(0, r, 50)] = top
-            S = np.zeros((50, r, r))
-            S.reshape(50, -1)[:, ::r + 1] = d
-            assert np.linalg.eigvalsh(S).tobytes() == np.sort(d, axis=-1).tobytes()
-            assert rgd._core_spectrum(S)[0].tobytes() == np.sort(d, axis=-1).tobytes()
+@pytest.mark.parametrize("scale", [1.0, 1e148, 1e-148])
+def test_descent_logs_the_least_value_of_each_core_it_stored(scale):
+    # sigma_r at step 0 is the block's eigvalsh of its start cores; from step 1 on, terminal
+    # point included, it is the least diagonal entry of the core that the step stored, bit for
+    # bit.  LAPACK's eigvalsh rescales a core outside about [1.5e-146, 7e145]: at 1e148 every
+    # core stays out there for the five steps; at 1e-148 the start cores are, and the first
+    # step lands at the target's scale (a step at 1e-148 would fail the rank test)
+    gt = sf.make_ground_truth(12, 3, [3, 2, 1], seed=14)
+    rng = np.random.default_rng(6)
+    starts = [sf.FactoredPoint(sf.haar_orthonormal(rng, 12, 3), scale * np.diag([2.5, 1.5, 0.6]))
+              for _ in range(4)]
+    cores = []                                # the stored cores (R, r, r) at each step
 
+    def observe(k, ids, U, S):
+        cores.append(S.copy())
 
-def _cores(*diagonals, off=0.0):
-    S = np.array([np.diag(d) for d in diagonals], dtype=float)
-    S[:, 0, -1] = S[:, -1, 0] = off if S.shape[-1] > 1 else S[:, 0, 0]
-    return S
-
-
-@pytest.mark.parametrize("S, diagonal", [
-    (_cores([2.5, 1.5, 0.6], [1e139, 1e138, 1e137]), True),
-    (_cores([1e140, 1.0, 1e-140], [0.6, 1.5, 2.5]), True),          # both ends, unsorted
-    (_cores([0.6, 1.5, 2.5], off=-0.0), True),
-    (_cores([1.0]), True),
-    (_cores([2.5, 1.5, 0.6], [np.nextafter(1e140, np.inf), 1.0, 0.5]), False),
-    (_cores([2.5, 1.5, 0.6], [1.0, 0.5, np.nextafter(1e-140, 0.0)]), False),
-    (_cores([1e148, 1e147, 1e146]), False),
-    (_cores([2.5, 1.5, 0.0]), False),                               # a zero keeps eigvalsh
-    (_cores([2.5, 1.5, 0.6], off=1e-300), False),                   # not exactly diagonal
-    (_cores([2.5, np.nan, 0.6]), False),
-    (_cores([2.5, 1.5, 0.6], off=np.nan), False),
-    (_cores([0.0]), False),
-], ids=["in-range", "range-ends", "signed-zero-off-diagonal", "r1", "above", "below", "1e148",
-        "zero", "off-diagonal", "nan-diagonal", "nan-off-diagonal", "r1-zero"])
-def test_descent_core_spectrum_reads_the_diagonal_only_in_range(monkeypatch, S, diagonal):
-    # descent's per-point spectrum: the sorted diagonal of an exactly diagonal stack with every
-    # diagonal magnitude in _DIAGONAL_RANGE, bit for bit what eigvalsh gives; else eigvalsh
-    want = None if np.isnan(S).any() else np.linalg.eigvalsh(S).tobytes()
-    fallback = []
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda S: fallback.append(S) or np.zeros(0))
-    (w,) = rgd._core_spectrum(S)
-    assert (not fallback) == diagonal
-    if diagonal:
-        assert w.tobytes() == want
+    steps = 5
+    runs = list(run_rgd_batch(*batch_of(starts), gt, sf.GDConfig(0.1, max_iters=steps), observe))
+    assert [run.iters for run in runs] == [steps] * 4
+    sigma = np.array([[*run.records[:, 2], run.terminal_sigma_r] for run in runs]).T
+    assert sigma[0].tobytes() == np.linalg.eigvalsh(cores[0])[:, 0].tobytes()
+    least = np.diagonal(np.array(cores[1:]), axis1=-2, axis2=-1).min(axis=-1)
+    assert sigma[1:].tobytes() == least.tobytes()
 
 
 @pytest.mark.parametrize("at, status", [("target", "converged_to_X"),
@@ -692,16 +667,16 @@ def test_fd_iteration_matrix_agrees_with_dense_differences(n, r, seed):
 def test_fd_oracle_call_budget(monkeypatch, entries, s):
     # one tuple at n=8, r=3 (dim 21) goes in s = ceil(dim / m) stacks of m = 1024 (the
     # default), 5 or 1 columns.  Each stack steps twice (+h and -h), and a step costs one
-    # dense eigh, one QR of [V, U] to m = 2r = 6 rows, one eigvalsh and one 6 x 6 eigh;
-    # the boundary frame costs one complete QR
+    # dense eigh, whose values give the stepsize, one QR of [V, U] to m = 2r = 6 rows and one
+    # 6 x 6 eigh; the boundary frame costs one complete QR
     gt = sf.make_ground_truth(8, 3, [4, 3, 2], seed=21)
     tup = sf.sample_spurious_tuple(sf.spurious_point(gt, [True, True, False]), gt, 2)
     if entries is not None:
         monkeypatch.setattr(_runner, "BLOCK_ENTRIES", entries)
     calls = _count_linalg(monkeypatch, "eigh", "eigvalsh", "qr")
     sf.fd_iteration_matrix(tup, gt, 0.7)
-    assert calls == Counter({("eigh", 8): 2 * s, ("eigh", 6): 2 * s, ("eigvalsh", 3): 2 * s,
-                             ("qr", 6): 2 * s, ("qr", 4): 1})
+    assert calls == Counter({("eigh", 8): 2 * s, ("eigh", 6): 2 * s, ("qr", 6): 2 * s,
+                             ("qr", 4): 1})
 
 
 def test_fd_oracle_builds_its_m_row_target_once(monkeypatch):
