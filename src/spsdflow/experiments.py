@@ -10,10 +10,12 @@ whatever ``workers`` or the blocks (README states the BLAS-thread limit).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -221,19 +223,20 @@ def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
     return lambda lo, hi: _escape_starts(sp, gt, radius, seeds[lo:hi])
 
 
-def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
+def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> Iterator[RunResult]:
     """Runs of the configured scenario for the given seeds, against the shared target.
 
-    They descend or flow as one batch, which builds the starts as it takes them in.
+    They descend or flow as one batch, which builds the starts as it takes them in, and come in
+    seed order as each block of them ends.
     """
     gt = _shared_ground_truth(cfg)
     starts = _starts(cfg, gt, seeds)
     if system := _FLOW_SYSTEM.get(cfg.scenario):
         runs = _integrate_batch(system, len(seeds), starts, gt, cfg.t_end, StepControls(dt=cfg.dt))
         cols = FlowResult.columns
-        return [RunResult(seed, status, rows, cols,
+        return (RunResult(seed, status, rows, cols,
                           {"status": status, **dict(zip(cols, map(float, rows[-1])))})
-                for (status, rows, _, _), seed in zip(runs, seeds)]
+                for (status, rows, _, _), seed in zip(runs, seeds))
     example = cfg.scenario == "example_1_1"
 
     def dist_limit(x, ids, U, S):         # example 1.1: each iterate's distance to its limit
@@ -241,15 +244,34 @@ def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
 
     columns = RgdRun.columns + (("dist_limit",) if example else ())
     runs = run_rgd_batch(len(seeds), starts, gt, _gd_config(cfg), dist_limit if example else None)
-    return [RunResult(seed, run.status, run.records, columns,
+    return (RunResult(seed, run.status, run.records, columns,
                       {"status": run.status, "iters": run.iters, "dist": run.terminal_dist,
                        "sigma_r": run.terminal_sigma_r, "grad_norm": run.terminal_grad_norm})
-            for run, seed in zip(runs, seeds)]
+            for run, seed in zip(runs, seeds))
+
+
+def _run_chunk(cfg: ExperimentConfig, seeds: list[int]) -> list[RunResult]:
+    """A pool worker's runs, as the one list that it sends back."""
+    return list(_run_seeds(cfg, seeds))
+
+
+def _stream(cfg: ExperimentConfig, seeds: list[int]) -> Iterator[RunResult]:
+    """The runs of all seeds in order, as each block ends, or each chunk of a pool of workers."""
+    if cfg.workers == 1:
+        yield from _run_seeds(cfg, seeds)
+        return
+    from concurrent.futures import ProcessPoolExecutor   # pulls in multiprocessing: import on use
+    size = -(-len(seeds) // cfg.workers)
+    chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
+    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        for chunk in pool.map(partial(_run_chunk, cfg), chunks):
+            yield from chunk
 
 
 def run_single(cfg: ExperimentConfig, seed: int) -> RunResult:
     """Execute one run of the configured scenario with the given seed."""
-    return _run_seeds(cfg, [_int("seed", seed, 0)])[0]
+    [run] = _run_seeds(cfg, [_int("seed", seed, 0)])
+    return run
 
 
 def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[dict, int]:
@@ -265,30 +287,12 @@ def _pointwise_stats(runs: list[RunResult], columns: tuple[str, ...]) -> tuple[d
     return stats, n_steps
 
 
-def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
-    """Run all repeats, aggregate pointwise statistics, and emit files.
-
-    When ``out_dir`` is set it is created before the first run, then receives
-    the per-run CSVs and the summary pair.
-    Results are deterministic in ``master_seed`` and independent of
-    ``workers``: each pool worker runs a contiguous chunk of the seeds.
-    """
-    seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
-    if cfg.out_dir is not None:           # a file in the way fails here, not after the runs
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    if cfg.workers > 1:
-        from concurrent.futures import ProcessPoolExecutor   # pulls in multiprocessing: import on use
-        size = -(-len(seeds) // cfg.workers)
-        chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            runs = [run for chunk in pool.map(partial(_run_seeds, cfg), chunks) for run in chunk]
-    else:
-        runs = _run_seeds(cfg, seeds)
-
+def _summarize(cfg: ExperimentConfig, seeds: list[int], runs: list[RunResult]) -> SummaryReport:
+    """The report of the runs: their pointwise statistics, statuses and terminal metrics."""
     columns = runs[0].columns
     stats, n_steps = _pointwise_stats(runs, columns)
     statuses = [r.status for r in runs]
-    report = SummaryReport(
+    return SummaryReport(
         config=cfg,
         columns=columns,
         seeds=seeds,
@@ -299,39 +303,95 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
         terminals=[r.terminal for r in runs],
         runs=runs,
     )
-    if cfg.out_dir is not None:
-        emit_summary(report, cfg.out_dir)
+
+
+def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
+    """Run all repeats, aggregate pointwise statistics, and emit files.
+
+    When ``out_dir`` is set it is created before the first run.  Each run's CSV goes to one
+    writer thread as the run's block (or pool chunk) ends, and is written while the next block
+    computes; the summary pair follows the last run file, ``summary.json`` last of all.  If a
+    run or a write raises, the run files that this call wrote are removed before the error
+    propagates.
+    Results are deterministic in ``master_seed`` and independent of ``workers``: each pool
+    worker runs a contiguous chunk of the seeds.
+    """
+    seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
+    if cfg.out_dir is None:
+        return _summarize(cfg, seeds, list(_stream(cfg, seeds)))
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)   # a file in the way fails here, not after the runs
+    writer, runs = _Writer(), []
+    try:
+        for run in _stream(cfg, seeds):
+            writer.todo.put((_run_path(out, len(runs)), run.columns, run.records))
+            runs.append(run)
+        report = _summarize(cfg, seeds, runs)           # while the writer drains
+        writer.join()
+        if writer.error is not None:
+            raise writer.error
+        _write_summary(report, out)
+    except BaseException:
+        writer.join(stop=True)
+        for path in writer.written:
+            with contextlib.suppress(OSError):          # the error that got here propagates
+                path.unlink(missing_ok=True)
+        raise
     return report
 
 
-def _write_csv(path: Path, header: list[str], rows) -> None:
-    template = ",".join(["%.17g"] * len(header))      # '%.17g' % v == format(v, '.17g')
-    lines = [",".join(header)] + [template % tuple(row) for row in np.asarray(rows).tolist()]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+class _Writer:
+    """One thread that writes the run CSVs put on ``todo`` as (path, header, rows), in order.
 
-
-def emit_summary(report: SummaryReport, out_dir) -> list[Path]:
-    """Write per-run CSVs, the pointwise summary CSV, and a JSON sidecar.
-
-    The sidecar holds the full configuration (round-trippable through the
-    config parser), per-run seeds, statuses, terminal metrics, and package
-    versions.  An empty trajectory yields a header-only CSV.
+    ``written`` lists each path that it began to write; after its first error, kept as
+    ``error``, it writes no more.
     """
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    written = []
-    for i, run in enumerate(report.runs):
-        p = out / f"run_{i:03d}.csv"
-        _write_csv(p, list(run.columns), run.records)
-        written.append(p)
 
+    def __init__(self):
+        import queue
+        import threading                  # import on use: only a run with output needs them
+        self.todo = queue.SimpleQueue()
+        self.written, self.error, self._stop = [], None, False
+        # joined on every path; as a daemon it cannot hold the interpreter open if an interrupt
+        # skips the join
+        self._thread = threading.Thread(target=self._drain, daemon=True)
+        self._thread.start()
+
+    def _drain(self) -> None:
+        while (item := self.todo.get()) is not None:
+            if self.error is None and not self._stop:
+                self.written.append(item[0])
+                try:
+                    _write_csv(*item)
+                except BaseException as exc:   # noqa: BLE001 - raised by the caller after join
+                    self.error = exc
+
+    def join(self, stop: bool = False) -> None:
+        """Wait for the thread to write what it was given, or only the file it is writing."""
+        self._stop = stop
+        self.todo.put(None)
+        self._thread.join()
+
+
+def _run_path(out: Path, i: int) -> Path:
+    return out / f"run_{i:03d}.csv"
+
+
+def _write_csv(path: Path, header, rows) -> None:
+    rows = np.asarray(rows)
+    template = "\n" + ",".join(["%.17g"] * len(header))   # '%.17g' % v == format(v, '.17g')
+    body = (template * len(rows)) % tuple(rows.ravel().tolist())
+    path.write_text(",".join(header) + body + "\n", encoding="utf-8", newline="\n")
+
+
+def _write_summary(report: SummaryReport, out: Path) -> list[Path]:
+    """Write the pointwise summary CSV, then the JSON sidecar; returns both paths."""
     keys = [(name, q) for name in report.columns[1:] for q in ("median", "min", "max")]
     header = ["step"] + [f"{name}_{q}" for name, q in keys]
     series = [report.stats[name][q] for name, q in keys]
     rows = [[float(k)] + [s[k] for s in series] for k in range(report.n_steps)]
     summary_csv = out / "summary.csv"
     _write_csv(summary_csv, header, rows)
-    written.append(summary_csv)
 
     sidecar = {
         "config": json.loads(report.config.to_json()),
@@ -344,5 +404,19 @@ def emit_summary(report: SummaryReport, out_dir) -> list[Path]:
     summary_json = out / "summary.json"
     summary_json.write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n",
                             encoding="utf-8", newline="\n")
-    written.append(summary_json)
-    return written
+    return [summary_csv, summary_json]
+
+
+def emit_summary(report: SummaryReport, out_dir) -> list[Path]:
+    """Write per-run CSVs, the pointwise summary CSV, and a JSON sidecar.
+
+    The sidecar holds the full configuration (round-trippable through the
+    config parser), per-run seeds, statuses, terminal metrics, and package
+    versions.  An empty trajectory yields a header-only CSV.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    written = [_run_path(out, i) for i in range(len(report.runs))]
+    for path, run in zip(written, report.runs):
+        _write_csv(path, run.columns, run.records)
+    return written + _write_summary(report, out)

@@ -8,6 +8,8 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -294,11 +296,135 @@ def _subprocess_env(**extra):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only workers > 1 starts a pool; every other run should not pay for importing one
-    code = "import sys, spsdflow; print('concurrent.futures.process' in sys.modules)"
+    # only workers > 1 starts a pool, and only an out_dir the writer thread and its queue;
+    # every other run should not pay for importing them
+    code = ("import sys, spsdflow; "
+            "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
                          text=True, check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
+
+
+def _record_writes(m, events, fail_at=None):
+    """Have the run-file writer append the name of each file it wrote to ``events``.
+
+    With ``fail_at`` its call of that number raises ``OSError`` instead, after opening the file.
+    """
+    write, calls = experiments._write_csv, []
+
+    def recorded(path, *args):
+        calls.append(path)
+        if len(calls) == fail_at:
+            path.write_text("partial")
+            raise OSError(f"cannot write {path.name}")
+        write(path, *args)
+        events.append(path.name)
+    m.setattr(experiments, "_write_csv", recorded)
+
+
+def _wait_for(events, names, timeout=10.0):
+    """Wait up to ``timeout`` s until every file in ``names`` is among the written ones."""
+    deadline = time.monotonic() + timeout
+    while not set(names) <= set(events) and time.monotonic() < deadline:
+        time.sleep(0.01)
+
+
+# small_cfg(repeats=6) in blocks of two runs: (0, 2), (2, 4) and (4, 6)
+_THREE_BLOCKS = 2 * 24 * 3
+
+
+def test_run_files_are_written_while_later_blocks_compute(tmp_path, monkeypatch):
+    one, split = tmp_path / "one", tmp_path / "split"
+    threads = threading.active_count()
+    sf.run_experiment(small_cfg(repeats=6, out_dir=str(one)))
+    assert threading.active_count() == threads
+    events = []
+    with monkeypatch.context() as m:
+        _record_blocks(m, events)
+        starts = experiments._starts
+
+        def last_waits(*args):
+            build = starts(*args)
+
+            def blocks(lo, hi):           # the last block once the first block's files are
+                if lo == 4:               # written, or after 10 s
+                    _wait_for(events, ["run_000.csv", "run_001.csv"])
+                return build(lo, hi)
+            return blocks
+        m.setattr(experiments, "_starts", last_waits)
+        _record_writes(m, events)
+        m.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+        sf.run_experiment(small_cfg(repeats=6, out_dir=str(split)))
+    assert threading.active_count() == threads
+    assert [e for e in events if isinstance(e, tuple)] == [(0, 2), (2, 4), (4, 6)]
+    written = [e for e in events if isinstance(e, str)]
+    assert written == [f"run_{i:03d}.csv" for i in range(6)] + ["summary.csv"]
+    assert events.index("run_001.csv") < events.index((4, 6))
+    assert _read_all(one).keys() == _read_all(split).keys()
+    assert _read_csvs(one) == _read_csvs(split)
+
+
+def test_a_later_block_that_cannot_draw_its_starts_exits_2_and_leaves_no_file(tmp_path,
+                                                                               monkeypatch,
+                                                                               capsys):
+    events, threads = [], threading.active_count()
+    starts = experiments._starts
+
+    def second_fails(*args):
+        build = starts(*args)
+
+        def blocks(lo, hi):
+            if lo == 2:                   # once the first block's files are written
+                _wait_for(events, ["run_000.csv", "run_001.csv"])
+                raise sf.spurious.DegenerateRadiusError("no full-rank start in block 2")
+            return build(lo, hi)
+        return blocks
+    monkeypatch.setattr(experiments, "_starts", second_fails)
+    _record_writes(monkeypatch, events)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+    out = tmp_path / "out"
+    argv = ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "6", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert "configuration error: no full-rank start in block 2" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert sorted(events) == ["run_000.csv", "run_001.csv"]
+    assert list(out.iterdir()) == []
+
+
+def test_a_rank_drop_in_a_later_block_exits_3_and_leaves_no_file(tmp_path, monkeypatch, capsys):
+    events, threads = [], threading.active_count()
+    _record_blocks(monkeypatch, events)
+    step = rgd._step
+
+    def drops_in_block_2(*args):
+        if (2, 4) in events:              # once the first block's files are written
+            _wait_for(events, ["run_000.csv", "run_001.csv"])
+            raise rgd.RankDropError("iterate left the manifold in block 2")
+        return step(*args)
+    monkeypatch.setattr(rgd, "_step", drops_in_block_2)
+    _record_writes(monkeypatch, events)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+    out = tmp_path / "out"
+    argv = ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "6", "--out-dir", str(out)]
+    assert main(argv) == 3
+    assert "runtime failure: iterate left the manifold in block 2" in capsys.readouterr().err
+    assert threading.active_count() == threads
+    assert [e for e in events if isinstance(e, tuple)] == [(0, 2), (2, 4)]
+    assert sorted(e for e in events if isinstance(e, str)) == ["run_000.csv", "run_001.csv"]
+    assert list(out.iterdir()) == []
+
+
+def test_a_failed_write_raises_and_leaves_no_run_file(tmp_path, monkeypatch):
+    events, threads = [], threading.active_count()
+    _record_writes(monkeypatch, events, fail_at=3)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+    out = tmp_path / "out"
+    (out / "keep").mkdir(parents=True)    # not a run file: it stays
+    with pytest.raises(OSError, match="cannot write run_002.csv"):
+        sf.run_experiment(small_cfg(repeats=6, out_dir=str(out)))
+    assert threading.active_count() == threads
+    assert events[:2] == ["run_000.csv", "run_001.csv"] and "run_002.csv" not in events
+    assert [p.name for p in out.iterdir()] == ["keep"]
 
 
 def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -376,16 +502,22 @@ def test_outputs_are_byte_identical_across_block_sizes(scenario, repeats, cap):
 
 
 def test_csv_rows_keep_special_values_exactly(tmp_path):
-    # one '%.17g' template per row writes what format(v, '.17g') writes per value
+    # one file's '%.17g' templates write what format(v, '.17g') writes per value, and a run
+    # with no rows writes its header alone
     cols = ("step", "dist", "sigma_r", "grad_norm")
     records = np.array([[0.0, np.nan, np.inf, -np.inf], [1.0, -0.0, 5e-324, 1e308],
                         [2.0, 0.1, 1 / 3, -2.5e-17]])
-    run = RunResult(0, "max_iters", records, cols, {})
+    runs = [RunResult(0, "max_iters", records, cols, {}),
+            RunResult(1, "converged_to_X", np.empty((0, 4)), cols, {})]
     stats = {name: {q: records[:, j].tolist() for q in ("median", "min", "max")}
              for j, name in enumerate(cols[1:], start=1)}
-    report = SummaryReport(small_cfg(), cols, [0], ["max_iters"], {"max_iters": 1}, stats,
-                           len(records), [{}], [run])
-    sf.emit_summary(report, tmp_path)
+    report = SummaryReport(small_cfg(), cols, [0, 1], ["max_iters", "converged_to_X"],
+                           {"max_iters": 1, "converged_to_X": 1}, stats, len(records),
+                           [{}, {}], runs)
+    written = sf.emit_summary(report, tmp_path)
+    assert [p.name for p in written] == ["run_000.csv", "run_001.csv", "summary.csv",
+                                         "summary.json"]
+    assert (tmp_path / "run_001.csv").read_bytes() == b"step,dist,sigma_r,grad_norm\n"
     lines = (tmp_path / "run_000.csv").read_text().splitlines()
     assert lines[1:] == ["0,nan,inf,-inf", "1,-0,4.9406564584124654e-324,1e+308",
                          "2,0.10000000000000001,0.33333333333333331,-2.4999999999999999e-17"]
