@@ -142,7 +142,7 @@ class ExperimentConfig:
             count = math.ceil(steps) if steps < math.inf else steps
             raise ValueError(f"the flow needs ceil(t_end / dt) = {count:.15g} RK4 steps, "
                              f"above max_iters = {self.max_iters}")
-        at_once = min(self.workers, self.repeats)          # one start per worker
+        at_once = min(self.workers, self.repeats, os.cpu_count() or 1)   # a start per process
         peak, limit = _START_BYTES_PER_ENTRY * self.n**2 * at_once, _physical_memory()
         if deficit and peak > limit:
             raise ValueError(f"escape starts at n = {self.n} need about {peak / 2**30:.3g} GiB "
@@ -263,7 +263,8 @@ def _stream(cfg: ExperimentConfig, seeds: list[int]) -> Iterator[RunResult]:
     from concurrent.futures import ProcessPoolExecutor   # pulls in multiprocessing: import on use
     size = -(-len(seeds) // cfg.workers)
     chunks = [seeds[i:i + size] for i in range(0, len(seeds), size)]
-    with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # fork starts every worker at the first submit: no more than there are chunks or cores
+    with ProcessPoolExecutor(max_workers=min(len(chunks), os.cpu_count() or 1)) as pool:
         for chunk in pool.map(partial(_run_chunk, cfg), chunks):
             yield from chunk
 
@@ -310,67 +311,40 @@ def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
 
     When ``out_dir`` is set it is created before the first run.  Each run's CSV goes to one
     writer thread as the run's block (or pool chunk) ends, and is written while the next block
-    computes; the summary pair follows the last run file, ``summary.json`` last of all.  If a
-    run or a write raises, the run files that this call wrote are removed before the error
-    propagates.
+    computes; the summary pair follows the last run file, ``summary.json`` last of all.  A failed
+    write raises when the next run arrives.  If a run or a write raises, the run files that this
+    call wrote are removed before the error propagates.
     Results are deterministic in ``master_seed`` and independent of ``workers``: each pool
     worker runs a contiguous chunk of the seeds.
     """
     seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
     if cfg.out_dir is None:
         return _summarize(cfg, seeds, list(_stream(cfg, seeds)))
+    from concurrent.futures import ThreadPoolExecutor   # import on use: only a run with output
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)   # a file in the way fails here, not after the runs
-    writer, runs = _Writer(), []
-    try:
-        for run in _stream(cfg, seeds):
-            writer.todo.put((_run_path(out, len(runs)), run.columns, run.records))
-            runs.append(run)
-        report = _summarize(cfg, seeds, runs)           # while the writer drains
-        writer.join()
-        if writer.error is not None:
-            raise writer.error
-        _write_summary(report, out)
-    except BaseException:
-        writer.join(stop=True)
-        for path in writer.written:
-            with contextlib.suppress(OSError):          # the error that got here propagates
-                path.unlink(missing_ok=True)
-        raise
+    runs, writes, checked = [], [], 0
+    with ThreadPoolExecutor(max_workers=1) as writer:
+        try:
+            for run in _stream(cfg, seeds):
+                while checked < len(writes) and writes[checked].done():   # a failed write raises
+                    writes[checked].result()
+                    checked += 1
+                writes.append(writer.submit(_write_csv, _run_path(out, len(runs)), run.columns,
+                                            run.records))
+                runs.append(run)
+            report = _summarize(cfg, seeds, runs)           # while the writer drains
+            for write in writes:
+                write.result()
+            _write_summary(report, out)
+        except BaseException:
+            writer.shutdown(cancel_futures=True)            # waits for the file being written
+            for i, write in enumerate(writes):
+                if not write.cancelled():
+                    with contextlib.suppress(OSError):      # the error that got here propagates
+                        _run_path(out, i).unlink(missing_ok=True)
+            raise
     return report
-
-
-class _Writer:
-    """One thread that writes the run CSVs put on ``todo`` as (path, header, rows), in order.
-
-    ``written`` lists each path that it began to write; after its first error, kept as
-    ``error``, it writes no more.
-    """
-
-    def __init__(self):
-        import queue
-        import threading                  # import on use: only a run with output needs them
-        self.todo = queue.SimpleQueue()
-        self.written, self.error, self._stop = [], None, False
-        # joined on every path; as a daemon it cannot hold the interpreter open if an interrupt
-        # skips the join
-        self._thread = threading.Thread(target=self._drain, daemon=True)
-        self._thread.start()
-
-    def _drain(self) -> None:
-        while (item := self.todo.get()) is not None:
-            if self.error is None and not self._stop:
-                self.written.append(item[0])
-                try:
-                    _write_csv(*item)
-                except BaseException as exc:   # noqa: BLE001 - raised by the caller after join
-                    self.error = exc
-
-    def join(self, stop: bool = False) -> None:
-        """Wait for the thread to write what it was given, or only the file it is writing."""
-        self._stop = stop
-        self.todo.put(None)
-        self._thread.join()
 
 
 def _run_path(out: Path, i: int) -> Path:

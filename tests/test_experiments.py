@@ -1,3 +1,4 @@
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -296,8 +297,8 @@ def _subprocess_env(**extra):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only workers > 1 starts a pool, and only an out_dir the writer thread and its queue;
-    # every other run should not pay for importing them
+    # only workers > 1 starts a process pool, and only an out_dir the one-thread executor that
+    # writes the run files (its module imports queue); every other run should not pay for them
     code = ("import sys, spsdflow; "
             "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
@@ -425,6 +426,90 @@ def test_a_failed_write_raises_and_leaves_no_run_file(tmp_path, monkeypatch):
     assert threading.active_count() == threads
     assert events[:2] == ["run_000.csv", "run_001.csv"] and "run_002.csv" not in events
     assert [p.name for p in out.iterdir()] == ["keep"]
+
+
+def _before_block(m, first, hook):
+    """Have every experiment's start builder call ``hook()`` before it builds block ``first``."""
+    starts = experiments._starts
+
+    def patched(*args):
+        build = starts(*args)
+
+        def blocks(lo, hi):
+            if lo == first:
+                hook()
+            return build(lo, hi)
+        return blocks
+    m.setattr(experiments, "_starts", patched)
+
+
+def test_a_failed_write_stops_the_experiment_at_the_next_run(tmp_path, monkeypatch):
+    # the first file fails once block (2, 4) is being built, and that block waits for it; the
+    # block's first run arrives after the failure and raises it, so block (4, 6) is never built
+    events, threads = [], threading.active_count()
+    building, failed = threading.Event(), threading.Event()
+    write = experiments._write_csv
+
+    def first_fails(path, *args):
+        if path.name == "run_000.csv":
+            building.wait(10)
+            failed.set()
+            raise OSError("cannot write run_000.csv")
+        write(path, *args)
+    _record_blocks(monkeypatch, events)
+    _before_block(monkeypatch, 2, lambda: building.set() or failed.wait(10))
+    monkeypatch.setattr(experiments, "_write_csv", first_fails)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+    out = tmp_path / "out"
+    with pytest.raises(OSError, match="cannot write run_000.csv"):
+        sf.run_experiment(small_cfg(repeats=6, out_dir=str(out)))
+    assert events == [(0, 2), (2, 4)]
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_an_interrupt_in_a_later_block_leaves_no_file_and_no_thread(tmp_path, monkeypatch):
+    events, threads = [], threading.active_count()
+
+    def interrupt():                      # once the first block's files are written
+        _wait_for(events, ["run_000.csv", "run_001.csv"])
+        raise KeyboardInterrupt
+    _before_block(monkeypatch, 2, interrupt)
+    _record_writes(monkeypatch, events)
+    monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
+    out = tmp_path / "out"
+    with pytest.raises(KeyboardInterrupt):
+        sf.run_experiment(small_cfg(repeats=6, out_dir=str(out)))
+    assert sorted(events) == ["run_000.csv", "run_001.csv"]
+    assert list(out.iterdir()) == []
+    assert threading.active_count() == threads
+
+
+def test_the_process_pool_starts_no_more_workers_than_chunks_or_cores(tmp_path, monkeypatch):
+    # fork starts all max_workers processes at the first submit; a pool that maps in this process
+    # records how many would start, and writes what one worker writes
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return None
+        map = staticmethod(map)
+
+    one = tmp_path / "one"
+    sf.run_experiment(small_cfg(repeats=3, out_dir=str(one)))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    for cores, started in ((None, 1), (2, 2), (16, 3)):     # three chunks of one seed
+        monkeypatch.setattr(os, "cpu_count", lambda: cores)
+        many = tmp_path / f"many{cores}"
+        sf.run_experiment(small_cfg(repeats=3, workers=64, out_dir=str(many)))
+        assert sizes.pop() == started
+        assert len(_read_csvs(many)) == 4 and _read_csvs(many) == _read_csvs(one)
 
 
 def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
@@ -680,6 +765,7 @@ def test_escape_start_memory_bound_exits_2_with_the_estimate(monkeypatch, capsys
     # 42 n^2 bytes per start at once, against 8 GiB of physical memory; nothing large allocated
     memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
     monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)             # a pool starts one per core
     monkeypatch.setattr(_runner, "run_blocks", lambda *a: pytest.fail("a run started"))
     tracemalloc.start()
     try:
@@ -691,6 +777,8 @@ def test_escape_start_memory_bound_exits_2_with_the_estimate(monkeypatch, capsys
     err = capsys.readouterr().err
     assert f"need about {estimate}, above the 8 GiB of physical memory" in err
     ExperimentConfig(scenario="escape_s_r1", n=5000, workers=8, repeats=16)    # 7.82 GiB
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    ExperimentConfig(scenario="escape_s_r1", n=5000, workers=9, repeats=9)     # 2 at once
     monkeypatch.undo()
     with pytest.raises(ValueError, match="physical memory"):      # 24 TB on any machine
         ExperimentConfig(scenario="escape_s_r2", n=10**6)
