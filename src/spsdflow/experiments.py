@@ -119,10 +119,9 @@ class ExperimentConfig:
             raise ValueError(f"escape from rank deficit {deficit} needs n - r >= {deficit} and "
                              f"r > {deficit}, else the spurious point is the zero matrix")
         _real("t_end", self.t_end, zero=True)
-        eig = self.eigenvalues
-        eig = default_eigenvalues(self.r) if eig is None else tuple(float(v) for v in eig)
-        d = target_spectrum(eig, self.r)
-        object.__setattr__(self, "eigenvalues", eig)
+        eig = default_eigenvalues(self.r) if self.eigenvalues is None else self.eigenvalues
+        d = target_spectrum(eig, self.r)  # on the value as given: a string or a bool is an error
+        object.__setattr__(self, "eigenvalues", tuple(float(v) for v in eig))
         # a start lies within 2 epsilon ||Z_sp||_F of the spurious point (perturb_near), which
         # lies ||d_miss|| from the target; the logged distance is a square root of sums of squares
         kept, miss = np.split(d, [self.r - deficit])
@@ -132,6 +131,9 @@ class ExperimentConfig:
             raise ValueError(f"epsilon = {self.epsilon:.3g} is too large: a start may lie up to "
                              f"2 epsilon ||Z_sp||_F + ||d_miss|| = {far:.3g} from the target, "
                              "and that distance's square overflows")
+        if deficit and not self.epsilon * math.hypot(*kept) > 0:   # else the starts fail mid-run
+            raise ValueError(f"epsilon = {self.epsilon:.3g} times ||Z_sp||_F = "
+                             f"{math.hypot(*kept):.3g} underflows to a zero radius")
         _gd_config(self)                  # stepsize and iteration controls
         if deficit and not self.tol_dist < d_miss:   # else the spurious point counts as converged
             raise ValueError(f"tol_dist = {self.tol_dist:.3g} must be below the spurious point's "

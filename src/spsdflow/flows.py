@@ -191,15 +191,8 @@ MAX_DRIFT = 1e-6
 _PLAIN_SIGMA_FLOOR = 1e-14
 
 
-def _plain_from_eigh(w: np.ndarray, P: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The plain core map: (S^-1, 1) from S's ascending eigh (w, P); _core_map tests the floor."""
-    return (P / w[..., None, :]) @ mT(P), np.ones(w.shape[:-1])
-
-
-# Each system's core map from eigh, and whether its c is sigma_min (else 1).
-_SYSTEMS = {"dlra": (_plain_from_eigh, False), "rescaled": (_scaled_from_eigh, True)}
-# Cores with w[0] > _INTERIOR w[-1] (ascending w) take the core map from inv.  On seeded cores
-# below condition number 1e3 (r = 2-10) it differed from the eigen form by at most 4.4e-13
+# Rescaled cores with w[0] > _INTERIOR w[-1] (ascending w) take the core map from inv.  On seeded
+# cores below condition number 1e3 (r = 2-10) it differed from the eigen form by at most 4.4e-13
 # relative, and both from an extended-precision inverse by about the condition number times eps
 # (3e-10 at 1e6): the cut bounds that, and leaves singular and indefinite cores to the eigen form.
 _INTERIOR = 1e-3
@@ -208,23 +201,24 @@ _INTERIOR = 1e-3
 def _core_map(system: str, S: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(phi, c)`` of ``system`` at cores S of ascending spectrum w, after its guards on all w.
 
-    Interior runs (see _INTERIOR) take (c S^-1, c) from one stacked inv, the others the
-    system's eigen form on eigh; no run's bits depend on the others.
+    The plain map is (S^-1, 1) from one stacked inv: past its floor every core is positive
+    definite.  Interior rescaled runs (see _INTERIOR) take (c S^-1, c) from one stacked inv, the
+    others the eigen form on eigh; no run's bits depend on the others.
     """
-    from_eigh, scaled = _SYSTEMS[system]
-    if scaled:
-        _extension_guards(w)
-    elif (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
-        raise SingularCoreError("core is numerically singular; switch to the rescaled system")
+    if system == "dlra":
+        if (w[..., 0] <= _PLAIN_SIGMA_FLOOR).any():
+            raise SingularCoreError("core is numerically singular; switch to the rescaled system")
+        return np.linalg.inv(S), np.ones(w.shape[:-1])
+    _extension_guards(w)
     inner = w[..., 0] > _INTERIOR * w[..., -1]        # NaN is not interior
     if not inner.any():
-        return from_eigh(*np.linalg.eigh(S))
-    c = w[..., 0].copy() if scaled else np.ones(w.shape[:-1])
+        return _scaled_from_eigh(*np.linalg.eigh(S))
+    c = w[..., 0].copy()
     if inner.all():
         return np.linalg.inv(S) * c[..., None, None], c
     phi = np.empty_like(S)
     phi[inner] = np.linalg.inv(S[inner]) * c[inner, None, None]
-    phi[~inner], c[~inner] = from_eigh(*np.linalg.eigh(S[~inner]))
+    phi[~inner], c[~inner] = _scaled_from_eigh(*np.linalg.eigh(S[~inner]))
     return phi, c
 
 
@@ -265,10 +259,10 @@ def rescaled_rhs(state: FlowState, gt: GroundTruth) -> FlowDerivative:
     return FlowDerivative(*_raw_rescaled(state.point.U, state.point.S, gt))
 
 
-def reorthonormalize(U: np.ndarray, S: np.ndarray, tol: float) -> np.ndarray:
-    """Re-orthonormalize in place the runs whose ||U^T U - I||_F exceeds tol; return all drifts."""
+def reorthonormalize(U: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Re-orthonormalize in place runs with ||U^T U - I||_F > TAU_ORTH; return all drifts."""
     drift = orth_defect(U)
-    redo = drift > tol
+    redo = drift > TAU_ORTH
     if redo.any():
         redo = ... if redo.all() else redo    # the whole stack: no gather and scatter
         U[redo], R = np.linalg.qr(U[redo])
@@ -299,7 +293,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
 
     Yields ``(status, records, U, S)`` per run from :func:`spsdflow._runner.run_blocks`.
     """
-    if system not in _SYSTEMS:
+    if system not in ("dlra", "rescaled"):
         raise ValueError(f"unknown system {system!r}")
     _real("t_end", t_end, zero=True)
     ctl = controls or StepControls()
@@ -320,7 +314,7 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
             U = U + (h / 6.0) * (kU1 + 2 * kU2 + 2 * kU3 + kU4)
             # S stays exactly symmetric, as the right-hand sides assume: sums of symmetric terms
             S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
-            drift = reorthonormalize(U, S, TAU_ORTH)
+            drift = reorthonormalize(U, S)
         if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
             raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
                                 "reduce dt")

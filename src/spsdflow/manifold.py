@@ -9,6 +9,7 @@ matrices only appear at module boundaries; the iterative drivers in
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -101,7 +102,10 @@ def _int(name: str, x, lo: int, hi: float = math.inf):
 
 def target_spectrum(eigenvalues, r: int) -> np.ndarray:
     """The eigenvalues sorted in decreasing order; raises unless r, finite, positive, distinct."""
-    d = np.sort(np.asarray(eigenvalues, dtype=float))[::-1]
+    d = np.asarray(eigenvalues, dtype=object)
+    if d.ndim != 1 or not all(isinstance(v, numbers.Real) and not isinstance(v, bool) for v in d):
+        raise ValueError("eigenvalues must be a one-dimensional sequence of real numbers")
+    d = np.sort(d.astype(float))[::-1]
     if d.shape != (r,):
         raise ValueError("need exactly r eigenvalues")
     if not (np.all(np.isfinite(d)) and np.all(d > 0) and np.all(np.diff(d) < 0)):

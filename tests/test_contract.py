@@ -108,6 +108,18 @@ PROBES = {
     "cli-epsilon-negative": (["global-fixed", "--n", "8", "--r", "2", "--epsilon", "-1"], CLI),
     "cli-config-epsilon-negative": (
         {"scenario": "global_fixed", "n": 8, "r": 2, "epsilon": -1}, CLI),
+    # a spectrum that is not a one-dimensional sequence of numbers, checked before it is sorted
+    "cli-config-eigenvalues-string": (
+        {"scenario": "global_fixed", "n": 8, "r": 2, "eigenvalues": "21"}, CLI),
+    "cli-config-eigenvalues-bool": (
+        {"scenario": "global_fixed", "n": 8, "r": 2, "eigenvalues": [3, True]}, CLI),
+    "make_ground_truth-eigenvalues-scalar": (
+        lambda: sf.make_ground_truth(8, 1, 5.0, seed=0), "eigenvalues"),
+    "GroundTruth-d-scalar": (
+        lambda: sf.GroundTruth(np.eye(4)[:, :1], np.float64(2.0)), "eigenvalues"),
+    "GroundTruth-U-one-dimensional": (lambda: sf.GroundTruth(np.ones(4), np.ones(1)), "U"),
+    "FactoredPoint-S-shape": (lambda: sf.FactoredPoint(np.eye(4)[:, :2], np.eye(3)), "S"),
+    "spurious_point-mask-length": (lambda: sf.spurious_point(_target(), [True]), "mask"),
 }
 
 

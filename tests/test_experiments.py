@@ -215,6 +215,19 @@ def test_every_descent_terminal_meets_its_status_definition(fields, counts):
             assert (t["status"], t["iters"]) == ("max_iters", cfg.max_iters)
 
 
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig("escape_s_r1", n=8, r=2, repeats=3, max_iters=300, master_seed=4),
+    ExperimentConfig("flow_rescaled", n=8, r=2, repeats=3, t_end=0.3, dt=0.05, master_seed=4),
+    ExperimentConfig("example_1_1", repeats=3, max_iters=40, master_seed=4),
+], ids=lambda cfg: cfg.scenario)
+def test_run_single_is_the_experiments_run_of_that_seed(cfg):
+    runs = sf.run_experiment(cfg).runs
+    for i, run in enumerate(runs):
+        one = sf.run_single(cfg, cfg.master_seed + i)
+        assert one.seed == run.seed and one.records.tobytes() == run.records.tobytes()
+        assert (one.status, one.columns, one.terminal) == (run.status, run.columns, run.terminal)
+
+
 def test_random_start_of_run_0_is_generic():
     # global_* and flow_* starts draw from their own stream, not the target's,
     # so run 0's columns reach outside the target's eigenvectors
@@ -697,6 +710,9 @@ def test_cli_exit_codes(tmp_path):
     ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "3", "--epsilon", "1e-12"],
     # tol_dist = 1e-6 above ||d_miss|| = 1e-8: every run converged_to_X at the spurious point
     ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "2e-8,1e-8"],
+    # a radius epsilon ||Z_sp||_F = 1e-330 underflows to zero
+    ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-300,1e-301", "--tol-dist",
+     "1e-310", "--epsilon", "1e-30", "--repeats", "2"],
 ])
 def test_cli_configuration_errors_exit_2(argv, capsys):
     assert main(argv + ["--repeats", "1"]) == 2
@@ -782,6 +798,14 @@ def test_escape_start_memory_bound_exits_2_with_the_estimate(monkeypatch, capsys
     monkeypatch.undo()
     with pytest.raises(ValueError, match="physical memory"):      # 24 TB on any machine
         ExperimentConfig(scenario="escape_s_r2", n=10**6)
+
+
+def test_physical_memory_is_unbounded_where_the_platform_does_not_say(monkeypatch):
+    def unsupported(name):
+        raise ValueError(f"unrecognized configuration name {name!r}")
+
+    monkeypatch.setattr(os, "sysconf", unsupported)
+    assert experiments._physical_memory() == math.inf
 
 
 @pytest.mark.parametrize("below", ["", "sub"])

@@ -261,7 +261,11 @@ def test_interior_core_map_agrees_with_the_eigen_form(monkeypatch, system):
     # (phi, c) within 1e-12 relative of the eigen form on eigh (measured: at most 4.4e-13 over
     # r = 2-10 at condition number 1e3, and 3.0e-13 over 8 seeds of this draw), with no eigh
     rng = np.random.default_rng(21)
-    from_eigh = flows._SYSTEMS[system][0]
+    if system == "rescaled":
+        from_eigh = flows._scaled_from_eigh
+    else:                                           # the plain map (S^-1, 1) on eigh
+        def from_eigh(w, P):
+            return (P / w[..., None, :]) @ mT(P), np.ones(w.shape[:-1])
     for r in (2, 3, 5, 10):
         S = _spd_stack(rng, r, rng.uniform(1.0, np.log10(0.99 / flows._INTERIOR), 200))
         w = np.linalg.eigvalsh(S)
@@ -362,6 +366,11 @@ def test_gradient_of_scaled_inverse_gap_error():
         sf.scaled_inverse_gradient(np.diag([2.0, 1.0, 1.0 + 1e-12]), np.eye(3))
 
 
+def test_gradient_of_scaled_inverse_rejects_a_vanishing_non_minimal_eigenvalue():
+    with pytest.raises(ExtensionError, match="non-minimal eigenvalue vanishes"):
+        sf.scaled_inverse_gradient(np.diag([-1.0, 0.0, 1.0]), np.eye(3))
+
+
 # ----------------------------------------------------------------- integrate
 
 def test_integrate_small_example_closed_form():
@@ -454,6 +463,24 @@ def test_near_boundary_flow_steps_take_eigh_and_no_inv(monkeypatch):
     assert all(np.all(records[:, 2] < 1e-2 * flows._INTERIOR) for _, records, _, _ in runs)
     assert calls == {"eigh": 4 * steps, "eigvalsh": 4 * steps + 1, "inv": 0, "FactoredPoint": 0,
                      "factored_blocks": 4 * steps + 1}
+
+
+def test_near_boundary_plain_flow_steps_take_inv_and_no_eigh(monkeypatch):
+    # past its floor every plain core is positive definite, so a core outside the interior
+    # rule (condition number 1250 here) takes the same stacked inv as an interior one
+    gt = small_instance(11)
+    rng = np.random.default_rng(3)
+    init = sf.FactoredPoint(sf.haar_orthonormal(rng, 8, 3), np.diag([2.5, 1.4, 2e-3]))
+    calls = dict.fromkeys(("eigh", "eigvalsh", "inv", "FactoredPoint", "factored_blocks"), 0)
+    _count_calls(monkeypatch, calls)
+    res = sf.integrate("dlra", init, gt, 1e-3, sf.StepControls(dt=1e-4))
+    steps = len(res.records) - 1
+    assert (res.status, steps) == ("t_end", 10)
+    assert calls == {"eigh": 0, "eigvalsh": 4 * steps + 1, "inv": 4 * steps, "FactoredPoint": 0,
+                     "factored_blocks": 4 * steps + 1}
+    monkeypatch.undo()
+    w = np.linalg.eigvalsh(np.stack([st.point.S for st in res.states]))
+    assert np.all(w[:, 0] < flows._INTERIOR * w[:, -1])
 
 
 def test_integrate_converges_from_generic_start():

@@ -293,6 +293,24 @@ def test_hessian_rejects_singular_core():
         sf.riem_hessian_apply(tup.factored(), gt, np.zeros((6, 6)))
 
 
+def test_hessian_rejects_a_tangent_from_another_frame():
+    rng = np.random.default_rng(12)
+    gt = sf.make_ground_truth(6, 2, [2, 1], seed=7)
+    pt, other = random_point(rng, 6, 2), random_point(rng, 6, 2)
+    xi = sf.TangentParam(np.eye(2), np.zeros((2, 4)), sf.eigen_frame(other))
+    with pytest.raises(ValueError, match="different frame"):
+        sf.riem_hessian_apply(pt, gt, xi)
+
+
+def test_point_and_target_of_different_dimensions_are_rejected():
+    pt = sf.FactoredPoint(np.eye(5)[:, :2], np.diag([2.0, 1.0]))
+    gt = sf.GroundTruth(np.eye(4)[:, :2], np.array([3.0, 1.5]))
+    for f in (sf.distance_to_target, sf.riem_gradient,
+              lambda pt, gt: sf.riem_hessian_apply(pt, gt, np.zeros((5, 5)))):
+        with pytest.raises(ValueError, match="dimension mismatch between point and target"):
+            f(pt, gt)
+
+
 def test_hessian_accepts_dense_tangent():
     rng = np.random.default_rng(9)
     gt = sf.make_ground_truth(6, 2, [2, 1], seed=8)
@@ -366,6 +384,14 @@ def test_orth_defect_of_a_stack_is_each_matrix_bit_for_bit():
     assert np.array_equal(stacked, [orth_defect(u) for u in U], equal_nan=True)
     assert orth_defect(np.eye(4)[:, :2]) == 0.0
     assert orth_defect(2 * np.eye(3)[:, :1]) == 3.0
+
+
+def test_tangent_param_rejects_mis_shaped_blocks():
+    frame = sf.eigen_frame(sf.FactoredPoint(np.eye(5)[:, :2], np.diag([2.0, 1.0])))
+    for M, N in ((np.eye(3), np.zeros((3, 2))), (np.eye(2), np.zeros((2, 2))),
+                 (np.eye(2), np.zeros((1, 2, 3)))):
+        with pytest.raises(ValueError, match="coordinate blocks have wrong shapes"):
+            sf.TangentParam(M, N, frame)
 
 
 def test_tangent_param_roundtrip():
