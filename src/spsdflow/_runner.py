@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 import numpy as np
@@ -23,6 +24,11 @@ def dense_stack(n: int) -> int:
 def stack(points) -> tuple[np.ndarray, np.ndarray]:
     """The stacked factors (U, S) of the points, as a block builder returns them."""
     return np.stack([p.U for p in points]), np.stack([p.S for p in points])
+
+
+def unit(d: np.ndarray) -> float:
+    """The power of two c nearest d_r, the target's least eigenvalue: runs step on X / c."""
+    return 2.0 ** round(math.log2(d[-1]))
 
 
 def compress(U: np.ndarray, gt: GroundTruth, gt_m: GroundTruth | None = None
@@ -48,23 +54,27 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable, adv
     the last; ``build(lo, hi)`` gives a block's stacked starts (U, S) when it is taken in, and no
     run's arithmetic depends on the others.  Descent steps and flow velocities from U lie in
     span(U, V), X = V D V^T, so a run stays in span(U_0, V): :func:`compress` gives each run its
-    basis Phi, its m-row start and the block's one m-row target ``gt_m``.  Steps work on m-row U,
-    lifted to Phi U only where it leaves: terminal factors and observer calls.  At each logged
-    point ``observe(x, ids, U, S)`` sees every live run (``ids`` among all starts), terminal ones
-    too, and returns ``None`` or a list of per-run arrays logged as extra columns, at every call
-    or at none.  Then a run ends at the first (mask, status) of ``stop`` whose mask holds; the
-    rest go on by ``advance(x, U, S, A, B, w, gt_m)``, w the ascending eigenvalues of each core
-    S, which returns the next (x, U, S, w): w is ``eigvalsh`` of S at a block's first point, and
-    then the spectrum that each step gives its cores.  sigma_r is logged from w.
+    basis Phi, its m-row start and the block's one m-row target ``gt_m``.  The loss is
+    homogeneous: runs step on m-row U, X / c and S / c, c = :func:`unit` (d), as ``stop`` and
+    ``advance`` see them, and Phi U, c S and c times dist, sigma_r and grad_norm leave, in logged
+    rows, terminal factors and ``observe(x, ids, U, S)``, which sees every live run (``ids``
+    among all starts) at each logged point, terminal ones too, and returns ``None`` or a list of
+    per-run arrays logged as extra columns, at every call or at none.  Then a run ends at the
+    first (mask, status) of ``stop`` whose mask holds; the rest go on by ``advance(x, U, S, A,
+    B, w, gt_m)``, w the ascending eigenvalues of each core S (w[:, 0] is sigma_r), which returns
+    the next (x, U, S, w): w is ``eigvalsh`` of S at a block's first point, then each step's.
     Yields per run its status, its rows (x from 0 in each block, dist, sigma_r, grad_norm,
     observed columns) to the terminal point, and factors.
     """
+    c = unit(gt.d)
+    gt = GroundTruth(gt.U, gt.d / c)
     cap = max(1, BLOCK_ENTRIES // (gt.n * gt.r))
     lo = 0                                # index of the block's first start
     while lo < count:
         hi = count if 2 * (count - lo) <= 3 * cap else lo + cap
         U, S = build(lo, hi)
         Phi, U, gt_m = compress(U, gt)
+        S = S / c
         ids = np.arange(lo, hi)           # start index of each stacked run
         lo = hi
         ends = {}
@@ -75,9 +85,9 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable, adv
             A, B, C = factored_blocks(U, gt_m)
             dist, grad = residual_norms(U, S, A, B, C, gt.d)
             sigma = w[:, 0]
-            extra = [] if observe is None else observe(x, ids, Phi @ U, S) or []
+            extra = [] if observe is None else observe(x, ids, Phi @ U, c * S) or []
             row = np.empty((ids.size, 5 + len(extra)))
-            for k, column in enumerate((ids, x, dist, sigma, grad, *extra)):
+            for k, column in enumerate((ids, x, c * dist, c * sigma, c * grad, *extra)):
                 row[:, k] = column
             log.append(row)
             done = None                   # a mask that holds nowhere costs one test
@@ -86,7 +96,7 @@ def run_blocks(count: int, build: Callable, gt: GroundTruth, stop: Callable, adv
                     if done is None:
                         done = np.zeros(ids.size, dtype=bool)
                     for j in np.flatnonzero(mask & ~done):
-                        ends[ids[j]] = (status, Phi[j] @ U[j], S[j])
+                        ends[ids[j]] = (status, Phi[j] @ U[j], c * S[j])
                     done |= mask
             if done is not None:          # only then: the filter copies every per-run array
                 if done.all():

@@ -122,15 +122,22 @@ class ExperimentConfig:
         eig = default_eigenvalues(self.r) if self.eigenvalues is None else self.eigenvalues
         d = target_spectrum(eig, self.r)  # on the value as given: a string or a bool is an error
         object.__setattr__(self, "eigenvalues", tuple(float(v) for v in eig))
+        # runs step on X / c (_runner.unit): a norm over c must not overflow when squared
+        c = _runner.unit(d)
+        bound = math.sqrt(np.finfo(float).max) * c
+        if not math.hypot(*d) < bound:
+            raise ValueError(f"eigenvalues span too wide a range: runs step on X / c, c = {c:.3g} "
+                             "(the power of two nearest d_r), and ||X / c||_F^2 overflows")
         # a start lies within 2 epsilon ||Z_sp||_F of the spurious point (perturb_near), which
-        # lies ||d_miss|| from the target; the logged distance is a square root of sums of squares
+        # lies ||d_miss|| from the target; the logged distance is c times a square root of sums
+        # of squares at the runs' unit scale
         kept, miss = np.split(d, [self.r - deficit])
         d_miss = math.hypot(*miss)
         far = 2 * self.epsilon * math.hypot(*kept) + d_miss
-        if deficit and not far < np.sqrt(np.finfo(float).max):
+        if deficit and not far < bound:
             raise ValueError(f"epsilon = {self.epsilon:.3g} is too large: a start may lie up to "
                              f"2 epsilon ||Z_sp||_F + ||d_miss|| = {far:.3g} from the target, "
-                             "and that distance's square overflows")
+                             "and the square of that distance over c overflows")
         if deficit and not self.epsilon * math.hypot(*kept) > 0:   # else the starts fail mid-run
             raise ValueError(f"epsilon = {self.epsilon:.3g} times ||Z_sp||_F = "
                              f"{math.hypot(*kept):.3g} underflows to a zero radius")
@@ -220,9 +227,14 @@ def _starts(cfg: ExperimentConfig, gt: GroundTruth, seeds: list[int]):
         return lambda lo, hi: _runner.stack([_EXAMPLE_START] * (hi - lo))
     if not (deficit := _ESCAPE_DEFICIT.get(cfg.scenario)):
         return lambda lo, hi: _runner.stack([_random_point(gt, seed) for seed in seeds[lo:hi]])
-    sp = spurious_point(gt, [True] * (cfg.r - deficit) + [False] * deficit)
+    c = _runner.unit(gt.d)                # drawn on X / c, where the runs step
+    sp = spurious_point(GroundTruth(gt.U, gt.d / c), [True] * (cfg.r - deficit) + [False] * deficit)
     radius = cfg.epsilon * math.hypot(*sp.d_kept)     # ||Z_sp||_F, scaled: no underflow
-    return lambda lo, hi: _escape_starts(sp, gt, radius, seeds[lo:hi])
+
+    def build(lo, hi):
+        U, S = _escape_starts(sp, gt, radius, seeds[lo:hi])
+        return U, c * S
+    return build
 
 
 def _run_seeds(cfg: ExperimentConfig, seeds: list[int]) -> Iterator[RunResult]:

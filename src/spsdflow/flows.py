@@ -297,14 +297,17 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
         raise ValueError(f"unknown system {system!r}")
     _real("t_end", t_end, zero=True)
     ctl = controls or StepControls()
+    c = _runner.unit(gt.d)
+    clock = c if system == "rescaled" else 1.0     # time on X / c per flow time
 
     def stop(t, dist, sigma, grad):
-        return [(not t < t_end - 1e-12, "t_end"),
-                (ctl.tau_conv > 0 and grad < ctl.tau_conv, "converged"),   # else never holds
+        return [(not clock * t < clock * t_end - 1e-12, "t_end"),
+                (ctl.tau_conv > 0 and c * grad < ctl.tau_conv, "converged"),   # else never holds
                 (system == "dlra" and sigma < SIGMA_FLOOR, "sigma_floor")]
 
     def advance(t, U, S, A, B, w, gt_m):
-        h = min(ctl.dt, t_end - t)
+        dt = min(ctl.dt, t_end - t)
+        h = clock * dt                              # the step at unit scale
         # a step that overflows leaves inf or NaN in U, whose drift rejects it: no numpy warning
         with np.errstate(over="ignore", invalid="ignore"):
             kU1, kS1 = _raw(system, U, S, gt_m, (A, B, w))  # the runner's blocks, spectrum
@@ -316,9 +319,9 @@ def _integrate_batch(system: str, count: int, build, gt: GroundTruth, t_end: flo
             S = S + (h / 6.0) * (kS1 + 2 * kS2 + 2 * kS3 + kS4)
             drift = reorthonormalize(U, S)
         if not (drift <= MAX_DRIFT).all():    # NaN drift fails too
-            raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + h:.4g}; "
+            raise StepSizeError(f"orthonormality drift {drift.max():.2e} at t={t + dt:.4g}; "
                                 "reduce dt")
-        return t + h, U, S, np.linalg.eigvalsh(S)
+        return t + dt, U, S, np.linalg.eigvalsh(S)
 
     return _runner.run_blocks(count, build, gt, stop, advance, observe)
 

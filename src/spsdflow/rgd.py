@@ -158,13 +158,15 @@ def run_rgd_batch(count: int, build: Callable, gt: GroundTruth, cfg: GDConfig,
     (``build``, ``observe(k, ids, U, S)`` at each step k, whose columns follow the four records
     columns); a rank drop raises :class:`RankDropError`.
     """
+    c = _runner.unit(gt.d)                # runs step on X / c; c dist and c sigma_r: caller units
+
     def stop(k, dist, sigma, grad):
-        spurious = (grad < TAU_GRAD) & (dist >= 0.5 * gt.d[-1])
-        return [(dist < cfg.tol_dist, "converged_to_X"), (spurious, "near_spurious"),
+        spurious = (grad < TAU_GRAD) & (c * dist >= 0.5 * gt.d[-1])
+        return [(c * dist < cfg.tol_dist, "converged_to_X"), (spurious, "near_spurious"),
                 (k >= cfg.max_iters, "max_iters")]
 
     def advance(k, U, S, A, B, w, _):
-        U, S, deficient, w = _step(U, S, A, B, _stepsizes(cfg, w[:, 0]))
+        U, S, deficient, w = _step(U, S, A, B, _stepsizes(cfg, c * w[:, 0]))
         if deficient.any():
             raise RankDropError(f"iterate left the manifold at step {k}")
         return k + 1, U, S, w

@@ -93,6 +93,8 @@ def test_config_rejects_unknown_fields_and_bad_values():
         small_cfg(repeats=0)
     with pytest.raises(ValueError):
         small_cfg(epsilon=0.0)
+    with pytest.raises(ValueError, match="eigenvalues span too wide a range"):   # d_1 / c = inf
+        small_cfg(scenario="global_fixed", n=4, r=2, eigenvalues=(1.0, 5e-324))
 
 
 @pytest.mark.parametrize("scenario, d_miss", [("escape_s_r1", 1.0),
@@ -544,24 +546,76 @@ def test_escape_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the first RK4 step overflows to NaN: a NaN drift must reject the step, not pass it
     (["flow-rescaled", "--n", "8", "--r", "2", "--eigenvalues", "1e150,1", "--t-end", "0.5"],
      3, "runtime failure: orthonormality drift nan at t=0.01; reduce dt"),
-    # a radius from the squared entries of Z_sp would underflow to 0 and fail as a runtime error
+    # a tiny spectrum is no cause: its escape starts are drawn, and its runs step, on X / c,
+    # where the radius 0.01 ||Z_sp||_F is not degenerate; nor is a radius of 1e-6 ||Z_sp||_F
     (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201",
       "--tol-dist", "1e-210"],
-     2, "configuration error: no full-rank perturbation of radius 1e-202 found in 16 draws"),
-    # and the message names both factors of that radius: epsilon, as its ratio to ||Z_sp||_F
+     0, "escape_s_r1: 2 run(s); converged_to_X=2"),
     (["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-200,1e-201",
-      "--tol-dist", "1e-210"],
-     2, "epsilon is degenerate (radius 1e-202 = 0.01 ||Z_sp||_F, ||Z_sp||_F = 1e-200)"),
+      "--tol-dist", "1e-210", "--epsilon", "1e-6"],
+     0, "escape_s_r1: 2 run(s); converged_to_X=2"),
 ])
 def test_extreme_spectra_fail_with_their_cause_and_write_nothing(tmp_path, argv, code, message):
-    # in a subprocess: numpy's overflow warnings on the way are errors under pytest's filter
+    # in a subprocess: numpy's overflow warnings on the way are errors under pytest's filter;
+    # a failure's message is on stderr, a run's status counts on stdout
     out = tmp_path / "out"
     done = subprocess.run([sys.executable, "-m", "spsdflow.cli", *argv, "--repeats", "2",
                            "--out-dir", str(out)], env=_subprocess_env(OPENBLAS_NUM_THREADS="1"),
                           capture_output=True, text=True)
     assert done.returncode == code
-    assert message in done.stderr
-    assert list(out.iterdir()) == []
+    assert message in (done.stderr if code else done.stdout)
+    assert "RuntimeWarning" not in done.stderr
+    assert len(list(out.iterdir())) == (0 if code else 4)    # two run files, the summary pair
+
+
+def test_a_spectrum_near_the_top_of_the_range_logs_finite_values(tmp_path):
+    # a start's distance to X = V diag(9e153, 8e153) V^T squares to beyond the double range,
+    # but not at the runs' unit scale, X / c: every logged value is c times a finite one
+    out = tmp_path / "out"
+    done = subprocess.run([sys.executable, "-m", "spsdflow.cli", "global-fixed", "--n", "8",
+                           "--r", "2", "--eigenvalues", "9e153,8e153", "--repeats", "2",
+                           "--max-iters", "5", "--out-dir", str(out)],
+                          env=_subprocess_env(OPENBLAS_NUM_THREADS="1"), capture_output=True,
+                          text=True)
+    assert done.returncode == 0
+    assert "RuntimeWarning" not in done.stderr
+    for name in ("run_000.csv", "run_001.csv", "summary.csv"):
+        rows = np.loadtxt(out / name, delimiter=",", skiprows=1)
+        assert len(rows) == 5 and np.isfinite(rows).all()   # five steps, each one row
+    json.loads((out / "summary.json").read_text(), parse_constant=pytest.fail)   # no inf or NaN
+
+
+@pytest.mark.parametrize("scenario, mode", [
+    ("escape_s_r1", "fixed"), ("escape_s_r1", "varying"), ("escape_s_r2", "fixed"),
+    ("global_fixed", "fixed"), ("global_varying", "varying"), ("flow_dlra", None),
+    ("flow_rescaled", None)])
+def test_experiments_obey_the_scaling_law(scenario, mode):
+    # X -> c X, c = 2**k, with tol_dist times c and the varying alpha and the rescaled flow's dt
+    # and t_end over c: the escape starts, the global starts and every iterate scale by c, so
+    # every run keeps its status and row count, and its dist, sigma_r and grad_norm scale by c
+    # and its rescaled time by 1/c, bit for bit, from 2**-60 to 2**60
+    def experiment(k):
+        c = 2.0 ** k
+        fields = dict(scenario=scenario, n=30, r=3, eigenvalues=(3 * c, 2 * c, c), repeats=6,
+                      max_iters=400)
+        if mode is None:
+            span = 1 / c if scenario == "flow_rescaled" else 1.0
+            fields.update(dt=0.01 * span, t_end=2.0 * span)
+        else:
+            fields.update(mode=mode, tol_dist=1e-6 * c, alpha=0.5 / c if mode == "varying" else 0.5)
+        return sf.run_experiment(ExperimentConfig(**fields))
+
+    ref = experiment(0)
+    assert set(ref.statuses) == ({"t_end"} if mode is None else {"converged_to_X"})
+    for k in (-60, -30, 30, 60):
+        c = 2.0 ** k
+        clock = 1 / c if scenario == "flow_rescaled" else 1.0   # steps and plain time: 1
+        report = experiment(k)
+        assert report.statuses == ref.statuses
+        for run, base in zip(report.runs, ref.runs, strict=True):
+            assert run.records.shape == base.records.shape
+            assert np.array_equal(run.records[:, 0], clock * base.records[:, 0])
+            assert np.array_equal(run.records[:, 1:], c * base.records[:, 1:])
 
 
 @pytest.mark.parametrize("below", ["", "sub"])
@@ -710,6 +764,8 @@ def test_cli_exit_codes(tmp_path):
     ["escape-s-r1", "--n", "24", "--r", "3", "--repeats", "3", "--epsilon", "1e-12"],
     # tol_dist = 1e-6 above ||d_miss|| = 1e-8: every run converged_to_X at the spurious point
     ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "2e-8,1e-8"],
+    # d_1 / c overflows, c = 5e-324 the power of two nearest d_r: X / c is no target
+    ["global-fixed", "--n", "4", "--r", "2", "--eigenvalues", "1,5e-324"],
     # a radius epsilon ||Z_sp||_F = 1e-330 underflows to zero
     ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-300,1e-301", "--tol-dist",
      "1e-310", "--epsilon", "1e-30", "--repeats", "2"],

@@ -410,6 +410,17 @@ def test_descent_logs_the_least_value_of_each_core_it_stored(scale):
     assert sigma[1:].tobytes() == least.tobytes()
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-20, 1e-148])
+def test_descent_steps_at_a_tiny_uniform_scale(c):
+    # a run steps on X / c, c the power of two nearest d_r, so truncate's rank test reads the
+    # step matrix at the target's scale, where its max(1, .) floor does not flag a tiny step
+    # from a start next to the target as rank-deficient
+    gt = sf.make_ground_truth(12, 3, [3 * c, 2 * c, c], seed=14)
+    start = sf.FactoredPoint(gt.U, np.diag(1.005 * gt.d))
+    run = sf.run_rgd(start, gt, sf.GDConfig(0.1, max_iters=5, tol_dist=1e-300))
+    assert (run.status, run.iters) == ("max_iters", 5)
+
+
 @pytest.mark.parametrize("at, status", [("target", "converged_to_X"),
                                         ("spurious", "near_spurious")])
 def test_first_stop_rule_that_holds_wins(at, status):
