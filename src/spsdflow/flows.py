@@ -79,8 +79,8 @@ class FlowDerivative:
 class StepControls:
     """Fixed-step RK4 controls.
 
-    ``tau_conv`` <= 0 disables the gradient-norm stopping test.  The plain
-    system halts at ``SIGMA_FLOOR``; drift beyond ``MAX_DRIFT`` rejects a step (dt too large).
+    ``tau_conv`` <= 0 disables the gradient-norm stopping test.  The plain system halts at
+    ``SIGMA_FLOOR`` on X / c; drift beyond ``MAX_DRIFT`` rejects a step (dt too large).
     """
 
     dt: float = 1e-2
@@ -277,8 +277,9 @@ def integrate(system: str, init: FactoredPoint, gt: GroundTruth, t_end: float,
     The factor U is re-orthonormalized by QR (with the core transformed
     congruently, leaving Z unchanged) whenever its drift exceeds the stored
     tolerance.  Per-step records hold (t, ||Z - X||_F, sigma_r(Z),
-    ||grad||_F), including the initial and final states.  This is a batch of
-    one through :func:`_integrate_batch`, whose observer keeps the states.
+    ||grad||_F), including the initial and final states.  This is a batch of one through
+    :func:`_integrate_batch`, whose observer keeps the states; it steps on X / c, c the power of
+    two nearest d[-1], where the rescaled flow's time is c t.
     """
     seen = []                              # (U, S) of each logged point
     status, records, _, _ = next(_integrate_batch(

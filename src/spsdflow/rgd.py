@@ -136,16 +136,15 @@ class RgdRun:
 def run_rgd(init: FactoredPoint, gt: GroundTruth, cfg: GDConfig) -> RgdRun:
     """Iterate descent until the target, a stationary boundary point, or the cap.
 
-    Statuses: ``converged_to_X`` when ||Z - X||_F < tol_dist; ``near_spurious``
-    when the gradient norm falls under ``TAU_GRAD`` at least ``d[-1] / 2`` from
-    X, half the least distance of a rank-deficient critical point (a run
-    stationary nearer steps on); ``max_iters`` otherwise.  A rank-deficient
-    retraction raises :class:`RankDropError`.  In varying mode, runs reach the
-    target only when alpha * sigma_r(X) < 2 (see :class:`GDConfig`).  Distances
-    come from :func:`~spsdflow.manifold.residual_norms`, which stays accurate
-    near the target, so ``converged_to_X`` means the dense ||Z - X||_F is
-    below ``tol_dist`` up to rounding.  This is :func:`run_rgd_batch` with a
-    batch of one.
+    Statuses: ``converged_to_X`` when ||Z - X||_F < tol_dist; ``near_spurious`` when the
+    gradient norm over c (runs step on X / c, c the power of two nearest d[-1]) falls under
+    ``TAU_GRAD`` at least ``d[-1] / 2`` from X, half the least distance of a rank-deficient
+    critical point (a run stationary nearer steps on); ``max_iters`` otherwise.  A
+    rank-deficient retraction raises :class:`RankDropError`.  In varying mode, runs reach the
+    target only when alpha * sigma_r(X) < 2 (see :class:`GDConfig`).  Distances come from
+    :func:`~spsdflow.manifold.residual_norms`, which stays accurate near the target, so
+    ``converged_to_X`` means the dense ||Z - X||_F is below ``tol_dist`` up to rounding.
+    This is :func:`run_rgd_batch` with a batch of one.
     """
     return next(run_rgd_batch(1, lambda lo, hi: _runner.stack([init]), gt, cfg))
 
