@@ -57,6 +57,10 @@ _FLOW_SYSTEM = {"flow_dlra": "dlra", "flow_rescaled": "rescaled"}
 # thread; 43.3 and 41.6 when measured again).  The top-r subset solve, whose dense W is built
 # in place, peaks at 19.6, 17.8 and 17.2 at n = 1000, 2000 and 3000.
 _START_BYTES_PER_ENTRY = 42
+# Peak bytes per logged double of a flow experiment (its log, sorted copy and padded statistics):
+# the slope of peak RSS over 25, 50 and 100 runs of flow-dlra --n 8 --r 2 --dt 1e-3 --t-end 5
+# with --out-dir, 5,001 rows of four columns each, was 29.7 to 35.5 across measurements.
+_LOG_BYTES_PER_ENTRY = 36
 # The fields that a scenario fixes, whatever the config gives: example 1.1's closed-form 3-by-3
 # geometry and stepsize rule, and the global scenarios' rules; the others take ``mode``.
 _PINNED = {"example_1_1": {"n": 3, "r": 2, "eigenvalues": (2.0, 1.0), "mode": "fixed"},
@@ -138,9 +142,6 @@ class ExperimentConfig:
             raise ValueError(f"epsilon = {self.epsilon:.3g} is too large: a start may lie up to "
                              f"2 epsilon ||Z_sp||_F + ||d_miss|| = {far:.3g} from the target, "
                              "and the square of that distance over c overflows")
-        if deficit and not self.epsilon * math.hypot(*kept) > 0:   # else the starts fail mid-run
-            raise ValueError(f"epsilon = {self.epsilon:.3g} times ||Z_sp||_F = "
-                             f"{math.hypot(*kept):.3g} underflows to a zero radius")
         _gd_config(self)                  # stepsize and iteration controls
         if deficit and not self.tol_dist < d_miss:   # else the spurious point counts as converged
             raise ValueError(f"tol_dist = {self.tol_dist:.3g} must be below the spurious point's "
@@ -151,8 +152,15 @@ class ExperimentConfig:
             count = math.ceil(steps) if steps < math.inf else steps
             raise ValueError(f"the flow needs ceil(t_end / dt) = {count:.15g} RK4 steps, "
                              f"above max_iters = {self.max_iters}")
+        limit = _physical_memory()
+        rows = math.ceil(steps) + 1 if self.scenario in _FLOW_SYSTEM else 0   # per flow run
+        log = _LOG_BYTES_PER_ENTRY * len(FlowResult.columns) * rows * self.repeats
+        if log > limit:
+            raise ValueError(f"a flow of repeats = {self.repeats} runs of ceil(t_end / dt) + 1 = "
+                             f"{rows} rows each logs about {log / 2**30:.3g} GiB, above the "
+                             f"{limit / 2**30:.3g} GiB of physical memory")
         at_once = min(self.workers, self.repeats, os.cpu_count() or 1)   # a start per process
-        peak, limit = _START_BYTES_PER_ENTRY * self.n**2 * at_once, _physical_memory()
+        peak = _START_BYTES_PER_ENTRY * self.n**2 * at_once
         if deficit and peak > limit:
             raise ValueError(f"escape starts at n = {self.n} need about {peak / 2**30:.3g} GiB "
                              f"({at_once} at once), above the {limit / 2**30:.3g} GiB of "
@@ -323,41 +331,31 @@ def _summarize(cfg: ExperimentConfig, seeds: list[int], runs: list[RunResult]) -
 def run_experiment(cfg: ExperimentConfig) -> SummaryReport:
     """Run all repeats, aggregate pointwise statistics, and emit files.
 
-    When ``out_dir`` is set it is created before the first run.  Each run's CSV goes to one
-    writer thread as the run's block (or pool chunk) ends, and is written while the next block
-    computes; the summary pair follows the last run file, ``summary.json`` last of all.  A failed
-    write raises when the next run arrives.  If a run or a write raises, the run files that this
-    call wrote are removed before the error propagates.
+    When ``out_dir`` is set it is created before the first run.  Each run's CSV is written on the
+    calling thread as the run's block (or pool chunk) ends; the summary pair follows the last run
+    file, ``summary.json`` last of all.  A failed write raises at that write.  If a run or a
+    write raises, the run files that this call began to write are removed before the error
+    propagates.
     Results are deterministic in ``master_seed`` and independent of ``workers``: each pool
     worker runs a contiguous chunk of the seeds.
     """
     seeds = [cfg.master_seed + i for i in range(cfg.repeats)]
     if cfg.out_dir is None:
         return _summarize(cfg, seeds, list(_stream(cfg, seeds)))
-    from concurrent.futures import ThreadPoolExecutor   # import on use: only a run with output
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)   # a file in the way fails here, not after the runs
-    runs, writes, checked = [], [], 0
-    with ThreadPoolExecutor(max_workers=1) as writer:
-        try:
-            for run in _stream(cfg, seeds):
-                while checked < len(writes) and writes[checked].done():   # a failed write raises
-                    writes[checked].result()
-                    checked += 1
-                writes.append(writer.submit(_write_csv, _run_path(out, len(runs)), run.columns,
-                                            run.records))
-                runs.append(run)
-            report = _summarize(cfg, seeds, runs)           # while the writer drains
-            for write in writes:
-                write.result()
-            _write_summary(report, out)
-        except BaseException:
-            writer.shutdown(cancel_futures=True)            # waits for the file being written
-            for i, write in enumerate(writes):
-                if not write.cancelled():
-                    with contextlib.suppress(OSError):      # the error that got here propagates
-                        _run_path(out, i).unlink(missing_ok=True)
-            raise
+    runs = []
+    try:
+        for run in _stream(cfg, seeds):
+            runs.append(run)
+            _write_csv(_run_path(out, len(runs) - 1), run.columns, run.records)
+        report = _summarize(cfg, seeds, runs)
+        _write_summary(report, out)
+    except BaseException:
+        for i in range(len(runs)):
+            with contextlib.suppress(OSError):          # the error that got here propagates
+                _run_path(out, i).unlink(missing_ok=True)
+        raise
     return report
 
 

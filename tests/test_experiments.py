@@ -312,8 +312,8 @@ def _subprocess_env(**extra):
 
 
 def test_import_leaves_the_process_pool_unloaded():
-    # only workers > 1 starts a process pool, and only an out_dir the one-thread executor that
-    # writes the run files (its module imports queue); every other run should not pay for them
+    # only workers > 1 starts a process pool (concurrent.futures, whose thread executor imports
+    # queue); a run with one worker, with or without an out_dir, should not pay for it
     code = ("import sys, spsdflow; "
             "print([m for m in ('concurrent.futures', 'queue') if m in sys.modules])")
     out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True,
@@ -458,27 +458,23 @@ def _before_block(m, first, hook):
     m.setattr(experiments, "_starts", patched)
 
 
-def test_a_failed_write_stops_the_experiment_at_the_next_run(tmp_path, monkeypatch):
-    # the first file fails once block (2, 4) is being built, and that block waits for it; the
-    # block's first run arrives after the failure and raises it, so block (4, 6) is never built
+def test_a_failed_write_stops_the_experiment_at_that_write(tmp_path, monkeypatch):
+    # the first file fails as block (0, 2) ends: it raises there, so blocks (2, 4) and (4, 6)
+    # are never built
     events, threads = [], threading.active_count()
-    building, failed = threading.Event(), threading.Event()
     write = experiments._write_csv
 
     def first_fails(path, *args):
         if path.name == "run_000.csv":
-            building.wait(10)
-            failed.set()
             raise OSError("cannot write run_000.csv")
         write(path, *args)
     _record_blocks(monkeypatch, events)
-    _before_block(monkeypatch, 2, lambda: building.set() or failed.wait(10))
     monkeypatch.setattr(experiments, "_write_csv", first_fails)
     monkeypatch.setattr(_runner, "BLOCK_ENTRIES", _THREE_BLOCKS)
     out = tmp_path / "out"
     with pytest.raises(OSError, match="cannot write run_000.csv"):
         sf.run_experiment(small_cfg(repeats=6, out_dir=str(out)))
-    assert events == [(0, 2), (2, 4)]
+    assert events == [(0, 2)]
     assert list(out.iterdir()) == []
     assert threading.active_count() == threads
 
@@ -766,7 +762,7 @@ def test_cli_exit_codes(tmp_path):
     ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "2e-8,1e-8"],
     # d_1 / c overflows, c = 5e-324 the power of two nearest d_r: X / c is no target
     ["global-fixed", "--n", "4", "--r", "2", "--eigenvalues", "1,5e-324"],
-    # a radius epsilon ||Z_sp||_F = 1e-330 underflows to zero
+    # a radius 1e-30 ||Z_sp / c||_F = 1.07e-29 at unit scale: no draw is full rank, degenerate
     ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "1e-300,1e-301", "--tol-dist",
      "1e-310", "--epsilon", "1e-30", "--repeats", "2"],
 ])
@@ -813,6 +809,16 @@ def test_degenerate_radius_exits_2_before_any_step_or_file(monkeypatch, tmp_path
     assert len(list(tmp_path.iterdir())) == 5
 
 
+def test_a_radius_tiny_in_the_callers_units_runs_at_unit_scale(tmp_path):
+    # epsilon ||Z_sp||_F = 1e-11 * 2e-313 underflows to zero, but starts are drawn on X / c,
+    # where the radius is epsilon ||Z_sp / c||_F, at least 0.7 epsilon
+    argv = ["escape-s-r1", "--n", "12", "--r", "2", "--eigenvalues", "2e-313,1e-313",
+            "--tol-dist", "1e-320", "--epsilon", "1e-11", "--repeats", "2"]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["statuses"] == ["converged_to_X"] * 2
+
+
 @pytest.mark.parametrize("flags, steps", [(["--t-end", "1e300"], "1e+302"),
                                           (["--dt", "1e-9", "--t-end", "5"], "5000000000")])
 def test_flow_longer_than_max_iters_steps_exits_2_before_any_step(monkeypatch, capsys, flags,
@@ -854,6 +860,33 @@ def test_escape_start_memory_bound_exits_2_with_the_estimate(monkeypatch, capsys
     monkeypatch.undo()
     with pytest.raises(ValueError, match="physical memory"):      # 24 TB on any machine
         ExperimentConfig(scenario="escape_s_r2", n=10**6)
+
+
+def test_flow_log_memory_bound_exits_2_before_any_run_or_file(monkeypatch, tmp_path, capsys):
+    # 36 bytes per logged double, four per row, against 8 GiB of physical memory: 1,000 runs of
+    # 10^7 + 1 rows would log about 1.3 TiB; nothing large allocated
+    memory = {"SC_PAGE_SIZE": 4096, "SC_PHYS_PAGES": 2**21}
+    monkeypatch.setattr(os, "sysconf", memory.__getitem__)
+    monkeypatch.setattr(_runner, "run_blocks", lambda *a: pytest.fail("a run started"))
+    argv = ["flow-rescaled", "--n", "8", "--r", "2", "--dt", "1e-4", "--t-end", "1000",
+            "--max-iters", "10000000", "--repeats", "1000", "--out-dir", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert ("a flow of repeats = 1000 runs of ceil(t_end / dt) + 1 = 10000001 rows each logs "
+            "about 1.34e+03 GiB, above the 8 GiB of physical memory") in err
+    assert list(tmp_path.iterdir()) == []
+    # 36 * 4 * 5,001 rows * 11,928 runs is just under 8 GiB, and one run more is over it
+    ExperimentConfig(scenario="flow_dlra", dt=1e-3, t_end=5.0, repeats=11928)
+    with pytest.raises(ValueError, match=r"repeats = 11929 runs of ceil\(t_end / dt\) \+ 1 = 5001"):
+        ExperimentConfig(scenario="flow_dlra", dt=1e-3, t_end=5.0, repeats=11929)
+    # descent logs are not bounded here: their row counts are known only at run time
+    ExperimentConfig(scenario="global_fixed", n=8, r=2, max_iters=10**7, repeats=1000)
 
 
 def test_physical_memory_is_unbounded_where_the_platform_does_not_say(monkeypatch):
